@@ -38,7 +38,6 @@ _ROLES = ("poller", "input-handler")
 #: fully-resolved project callees that block by contract
 _BLOCKING_QNAMES = {
     "repro.shm.ring.SpscRing.push": "blocking ring push (use try_push / defer)",
-    "repro.shm.ring.RingSet.push": "blocking ring push (use try_push / defer)",
 }
 
 _SOCKET_METHODS = frozenset(

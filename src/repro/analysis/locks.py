@@ -49,8 +49,8 @@ _ATTR_CLASS = {
     "_wc_lock": locknames.RECV_WILDCARD,
     "_send_lock": locknames.SEND_SETS,
     "_rndz_lock": locknames.RENDEZVOUS_IDS,
-    "_channel_locks_guard": locknames.CHANNEL_GUARD,
     "_cache_lock": locknames.CONN_CACHE,
+    "write_lock": locknames.CHANNEL,
     "_out_locks": locknames.PROC_OUT,
     "ticker": locknames.TICKER,
     "_ticker": locknames.TICKER,
@@ -60,7 +60,6 @@ _ATTR_CLASS = {
 #: ambiguous across modules
 _MODULE_ATTR_CLASS = {
     ("repro.xdev.completion", "_locks"): locknames.COMPLETED,
-    ("repro.shm.ring", "_locks"): locknames.RING_SET,
     ("repro.xdev.matching", "lock"): locknames.RECV_SHARD,
 }
 

@@ -9,11 +9,12 @@ committed ``BENCH_threads.json`` at the repo root is one such run.
 
 Each worker pair owns a tag chosen so its ``route_of(context, tag)``
 content hash lands on its own shard: with sharding on, a pair's
-traffic touches only its own channel-lock shard, smdev inbox (own
-input-handler thread), and matching shard, so pairs never contend.
-With ``endpoints=1`` the same workload funnels every pair through one
-channel lock, one inbox, and one matching lock — the seed's
-serialization point that the paper's coarse-grained locking implies.
+traffic touches only its own smdev inbox (own input-handler thread)
+and matching shard, so pairs never contend.  With ``endpoints=1`` the
+same workload funnels every pair through one inbox and one matching
+lock — the seed's serialization point that the paper's coarse-grained
+locking implies.  (smdev's write is one atomic ``queue.put`` and takes
+no lock on either side, so there is no write-lock column.)
 
 Methodology (the PR 4 bench discipline):
 
@@ -32,14 +33,12 @@ Methodology (the PR 4 bench discipline):
   paired.
 * Per-op cost is wall clock over the whole flood (all threads joined),
   messages are 8-byte eager payloads in windows of 64 outstanding.
-* **Contention metrics travel with every trial** — per-message
-  channel-lock wait time (from the engine's ``lock_wait_us`` histogram)
-  and futile probe wakeups (probers woken by stores that were not for
+* **A contention metric travels with every trial** — futile probe
+  wakeups per message (probers woken by stores that were not for
   them).  On a single-core host the GIL serializes the interpreter work
-  either way, so throughput ratios hover near 1.0; the contention
-  columns are the honest single-core proxy for the multicore speedup
-  (time threads would have spent convoying on the shared engine's
-  locks).  See ``docs/performance.md`` for the full analysis.
+  either way, so throughput ratios hover near 1.0; the futile-wakeup
+  column is the single-core evidence that sharding removed shared
+  wake-ups.  See ``docs/performance.md`` for the full analysis.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def _make_smdev_job(endpoints: int) -> tuple[list[Any], list[Any]]:
 def _flood_trial(
     endpoints: int, nthreads: int, msgs_per_thread: int, probe: bool = False
 ) -> dict[str, float]:
-    """One timed flood; returns rate plus per-message contention costs.
+    """One timed flood; returns rate plus futile wakeups per message.
 
     ``probe=True`` switches receivers to the blocking
     probe-then-receive idiom (the variable-size receive pattern):
@@ -178,9 +177,6 @@ def _flood_trial(
             th.join()
         elapsed = time.perf_counter() - t0
         total_msgs = nthreads * msgs_per_thread
-        lock_wait_us = sum(
-            d.engine._h_lock_wait.snapshot()["sum"] for d in devices
-        )
         pstats = [dict(d.engine._matcher.probe_stats) for d in devices]
         futile = sum(p["futile_wakeups"] for p in pstats)
     finally:
@@ -191,7 +187,6 @@ def _flood_trial(
         raise RuntimeError(f"flood worker failed: {errors[0]!r}") from errors[0]
     return {
         "rate_per_s": total_msgs / max(elapsed, 1e-9),
-        "lock_wait_us_per_msg": lock_wait_us / total_msgs,
         "futile_wakeups_per_msg": futile / total_msgs,
     }
 
@@ -217,9 +212,6 @@ def run_threads_bench(
             "rates_per_s": [round(t["rate_per_s"], 1) for t in trials],
             "median_rate_per_s": round(
                 statistics.median(t["rate_per_s"] for t in trials), 1
-            ),
-            "median_lock_wait_us_per_msg": round(
-                statistics.median(t["lock_wait_us_per_msg"] for t in trials), 3
             ),
             "median_futile_wakeups_per_msg": round(
                 statistics.median(t["futile_wakeups_per_msg"] for t in trials),
@@ -265,9 +257,7 @@ def run_threads_bench(
                     f"{mode} threads={nthreads} round {rnd + 1}/{rounds}: "
                     f"sharded={trial_n['rate_per_s']:,.0f}/s "
                     f"single={trial_1['rate_per_s']:,.0f}/s "
-                    f"ratio={rate_ratios[-1]:.2f} "
-                    f"lock-wait {trial_n['lock_wait_us_per_msg']:.1f}/"
-                    f"{trial_1['lock_wait_us_per_msg']:.1f} µs/msg"
+                    f"ratio={rate_ratios[-1]:.2f}"
                 )
             cell = {
                 "sharded": _side(sharded, sharded_eps),
@@ -275,15 +265,9 @@ def run_threads_bench(
                 "rate_ratios": [round(r, 3) for r in rate_ratios],
                 "rate_ratio_median": round(statistics.median(rate_ratios), 3),
             }
-            # Contention reductions: how much lock-wait / futile-wakeup
-            # cost the single-endpoint engine pays per message relative
-            # to the sharded one (paired per round, medians of ratios).
-            cell["lock_wait_reduction"] = _reduction(
-                [
-                    (n["lock_wait_us_per_msg"], one["lock_wait_us_per_msg"])
-                    for n, one in zip(sharded, single)
-                ]
-            )
+            # Contention reduction: how many futile wakeups the
+            # single-endpoint engine pays per message relative to the
+            # sharded one (paired per round, median of ratios).
             cell["futile_wakeup_reduction"] = _reduction(
                 [
                     (
@@ -316,9 +300,9 @@ def run_threads_bench(
             "on a single-core host the GIL serializes the ~90 µs of "
             "interpreter work per message, so aggregate throughput ratios "
             "sit near 1.0 regardless of lock granularity; the sharding win "
-            "shows up in the contention metrics (per-message channel-lock "
-            "wait and futile probe wakeups), which translate to throughput "
-            "on multicore hosts"
+            "visible here is the futile-probe-wakeup column (zero sharded), "
+            "and inbox/matching sharding translates to throughput only on "
+            "multicore hosts"
         ),
         "modes": modes,
     }

@@ -18,7 +18,6 @@ return to it when requests finish.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 import numpy as np
@@ -86,12 +85,10 @@ class Comm(AttributeMixin):
         self._pool = pool if pool is not None else DEFAULT_POOL
         self._env = env
         self._freed = False
-        # Kill-switch for the zero-copy collective window path; the
-        # benchmark's seed baseline uses it to measure the packed
-        # (pre-window) datapath, and it doubles as an escape hatch.
-        self._coll_windows = os.environ.get(
-            "REPRO_COLL_WINDOWS", ""
-        ).strip().lower() not in ("0", "off", "false")
+        # The zero-copy collective window path; bench/collectives.py
+        # clears this on its reference communicator to measure the
+        # packed (pre-window) datapath.
+        self._coll_windows = True
 
     # ------------------------------------------------------------------
     # identity

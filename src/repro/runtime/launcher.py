@@ -89,7 +89,7 @@ def run_spmd(
     :class:`repro.trace.TracingDevice` and the call returns
     ``(results, traces)`` — one tracer per rank, already populated.
     On a timeout the traces survive in ``SpmdError.traces`` so the
-    stalled operations can be inspected (``repro.trace.detect_stalled``).
+    stalled operations can be inspected (``TracingDevice.detect_stalled``).
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")

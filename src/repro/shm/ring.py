@@ -32,7 +32,6 @@ idle rings cost one short sleep per round.
 from __future__ import annotations
 
 import struct
-import threading
 import time
 from typing import Callable, Optional, Sequence
 
@@ -227,27 +226,3 @@ class SpscRing:
         self._set_head(self._pending + 1)
         self._pending = None
 
-
-class RingSet:
-    """Producer-side serialization over a set of outbound rings.
-
-    The engine's channel locks already serialize protocol writes per
-    destination, but the transport itself also pushes release notices
-    from its poller thread — two producers for one SPSC ring.  This
-    tiny wrapper gives each outbound ring its own lock so the single-
-    producer invariant holds whoever is pushing.
-    """
-
-    __slots__ = ("rings", "_locks")
-
-    def __init__(self, rings: Sequence[SpscRing]) -> None:
-        self.rings = list(rings)
-        self._locks = [threading.Lock() for _ in self.rings]
-
-    def try_push(self, dest: int, kind: int, chunks) -> bool:
-        with self._locks[dest]:
-            return self.rings[dest].try_push(kind, chunks)
-
-    def push(self, dest: int, kind: int, chunks, timeout=60.0, should_abort=None) -> None:
-        with self._locks[dest]:
-            self.rings[dest].push(kind, chunks, timeout=timeout, should_abort=should_abort)

@@ -163,11 +163,6 @@ class ChaosTransport(Transport):
     #: retains segments regardless of what the inner transport does.
     retains_segments = True
 
-    @property
-    def routed(self) -> bool:  # type: ignore[override]
-        """Chaos demuxes exactly as its inner transport does."""
-        return bool(getattr(self.inner, "routed", False))
-
     def __init__(self, inner: Transport, config: ChaosConfig) -> None:
         self.inner = inner
         self.config = config
@@ -178,10 +173,6 @@ class ChaosTransport(Transport):
         #: dest uid -> held frame awaiting a reorder partner.
         self._held: dict[int, _HeldFrame] = {}
         self._generation = 0
-        #: dest uid -> lock serializing inner.write (the engine's
-        #: channel lock no longer suffices once the timer flusher can
-        #: also write).
-        self._write_locks: dict[int, threading.Lock] = {}
         self._events: list[ChaosEvent] = []
         self._closed = False
 
@@ -254,63 +245,18 @@ class ChaosTransport(Transport):
         self._engine = engine
         self.inner.start(engine)
 
-    def _write_lock(self, dest: ProcessID) -> threading.Lock:
-        with self._lock:
-            lock = self._write_locks.get(dest.uid)
-            if lock is None:
-                lock = threading.Lock()
-                self._write_locks[dest.uid] = lock
-            return lock
-
-    #: Same-dest ordering comes from this transport's own per-dest
-    #: ``_write_lock`` — it has to, because replay/delay threads write
-    #: too and the engine's channel lock cannot cover them.  Declaring
-    #: it makes the engine skip its channel lock, so the inner
-    #: transport's prepare_write (which may take the conn-cache lock)
-    #: never runs under 'channel'.
-    self_locking = True
-
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
-        """No-op: delayed/replayed frames perform the actual inner
-        write on chaos worker threads, so the inner transport's
-        prepare/finish (which pins per-*thread* state) must bracket
-        :meth:`_inner_write` on whichever thread runs it — not the
-        caller's thread here."""
-
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
-        """No-op; see :meth:`prepare_write`."""
-
     def extend_peers(self, pids) -> int:
         return self.inner.extend_peers(pids)
 
-    def _inner_write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
-    ) -> None:
-        self.inner.prepare_write(dest, route)
-        try:
-            self._locked_inner_write(dest, segments, on_delivered, route)
-        finally:
-            self.inner.finish_write(dest, route)
-
-    def _locked_inner_write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
-    ) -> None:
-        with self._write_lock(dest):
-            if self.routed:
-                if on_delivered is not None and self.inner.retains_segments:
-                    self.inner.write(dest, segments, on_delivered, route=route)
-                    return
-                self.inner.write(dest, segments, route=route)
-            elif on_delivered is not None and self.inner.retains_segments:
-                self.inner.write(dest, segments, on_delivered)
-                return
-            else:
-                self.inner.write(dest, segments)
-        if on_delivered is not None:
-            on_delivered()
+    def _release(self, held: _HeldFrame) -> None:
+        """Deliver a held frame.  Like every inner write here it takes
+        no lock of chaos's own: ``inner.write`` is thread-safe and
+        ordered by contract, whichever thread (caller, hold-flush
+        timer) runs it, and it owns the fence from then on."""
+        self.inner.write(held.dest, held.segments, held.route, held.on_delivered)
 
     def write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
+        self, dest: ProcessID, segments, route: int = 0, on_delivered=None
     ) -> None:
         if self._closed:
             raise XDevException("chaos transport closed")
@@ -383,27 +329,21 @@ class ChaosTransport(Transport):
             # control frames never carry a delivery fence.)
             if duplicate:
                 self._record("duplicate", header, occ)
-                self._inner_write(dest, segments, route=route)
+                self.inner.write(dest, segments, route)
             return
 
         if released is not None and swap:
             self._record("swap", header, occ)
-            self._inner_write(dest, segments, on_delivered, route=route)
-            self._inner_write(
-                released.dest, released.segments, released.on_delivered,
-                route=released.route,
-            )
+            self.inner.write(dest, segments, route, on_delivered)
+            self._release(released)
         elif released is not None:
-            self._inner_write(
-                released.dest, released.segments, released.on_delivered,
-                route=released.route,
-            )
-            self._inner_write(dest, segments, on_delivered, route=route)
+            self._release(released)
+            self.inner.write(dest, segments, route, on_delivered)
         else:
-            self._inner_write(dest, segments, on_delivered, route=route)
+            self.inner.write(dest, segments, route, on_delivered)
         if duplicate:
             self._record("duplicate", header, occ)
-            self._inner_write(dest, segments, route=route)
+            self.inner.write(dest, segments, route)
 
     def _flush_held(self, dest: ProcessID, entry: _HeldFrame) -> None:
         """Timer valve: a held frame with no reorder partner must still
@@ -413,9 +353,7 @@ class ChaosTransport(Transport):
             if current is None or current.generation != entry.generation:
                 return  # already released by a later write
             del self._held[dest.uid]
-        self._inner_write(
-            entry.dest, entry.segments, entry.on_delivered, route=entry.route
-        )
+        self._release(entry)
 
     def flush(self) -> None:
         """Deliver every held frame now (tests call this at barriers)."""
@@ -423,9 +361,7 @@ class ChaosTransport(Transport):
             held = list(self._held.values())
             self._held.clear()
         for entry in held:
-            self._inner_write(
-                entry.dest, entry.segments, entry.on_delivered, route=entry.route
-            )
+            self._release(entry)
 
     def close(self) -> None:
         self._closed = True

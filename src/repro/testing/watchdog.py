@@ -4,9 +4,9 @@ Two cooperating tools for the question every hang raises — *what is
 everyone waiting on?*
 
 :class:`LockGraph` + :class:`InstrumentedLock` wrap the engine's locks
-(the receive/send communication-set locks and the per-destination
-channel locks, paper Section IV-A) so every acquisition is checked
-against the global lock-order graph.  A cycle in that graph is a
+(the receive/send communication-set, rendezvous-id and completion
+locks, paper Section IV-A) so every acquisition is checked against the
+global lock-order graph.  A cycle in that graph is a
 potential deadlock even if this run got lucky; violations are recorded
 with both threads' held-lock stacks.
 
@@ -14,8 +14,8 @@ with both threads' held-lock stacks.
 outstanding work exists but no request has completed within a budget.
 Its report is trace-integrated: give it the job's
 :class:`~repro.trace.TracingDevice` wrappers and the dump includes the
-stalled operations (:func:`repro.trace.detect_stalled`) next to the
-engine-side pending sets.
+stalled operations (:meth:`repro.trace.TracingDevice.detect_stalled`)
+next to the engine-side pending sets.
 
 Usage::
 
@@ -186,12 +186,13 @@ class InstrumentedLock:
 def instrument_engine(engine, graph: LockGraph, label: Optional[str] = None) -> LockGraph:
     """Swap a ProtocolEngine's locks for instrumented ones.
 
-    Must run before traffic starts.  Covers the endpoint-sharded lock
-    set: every matching-shard lock, the wildcard-domain lock (acquired
+    Must run before traffic starts.  Covers every lock the engine
+    owns: each matching-shard lock, the wildcard-domain lock (acquired
     only after its shards — the ordering the LockGraph verifies), the
-    send-set and rendezvous-id locks, the per-endpoint completion
-    shard locks, and the (dest, route shard) channel locks.  Returns
-    *graph* for chaining.
+    send-set and rendezvous-id locks, and the per-endpoint completion
+    shard locks.  Write serialisation belongs to the transport (see
+    ``Transport.write``) and is not instrumented here.  Returns *graph*
+    for chaining.
     """
     # Node names are built from the canonical lock classes in
     # repro.xdev.locknames — the same vocabulary the static lock-order
@@ -211,26 +212,6 @@ def instrument_engine(engine, graph: LockGraph, label: Optional[str] = None) -> 
         InstrumentedLock(graph, f"{me}:{locknames.COMPLETED}{i}")
         for i in range(completions.n)
     ]
-
-    guard = engine._channel_locks_guard
-    channel_locks = engine._channel_locks
-    endpoints = engine.endpoints
-    routed = engine._routed
-
-    def channel_lock(dest, route=0):
-        shard = route % endpoints if routed else 0
-        key = (dest.uid, shard)
-        with guard:
-            lock = channel_locks.get(key)
-            if lock is None:
-                lock = InstrumentedLock(
-                    graph, f"{me}:{locknames.CHANNEL}->{dest.uid}.{shard}"
-                )
-                channel_locks[key] = lock
-            return lock
-
-    # Instance attribute shadows the bound method.
-    engine.channel_lock = channel_lock
     return graph
 
 

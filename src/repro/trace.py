@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -326,16 +325,3 @@ class TracingDevice(Device):
         now = self.clock()
         stale = [e for e in self.pending_events() if now - e.time >= min_age_s]
         return sorted(stale, key=lambda e: e.time)
-
-
-def detect_stalled(
-    traced: "TracingDevice", min_age_s: float = 1.0
-) -> list[TraceEvent]:
-    """Deprecated alias for :meth:`TracingDevice.detect_stalled`."""
-    warnings.warn(
-        "repro.trace.detect_stalled(traced, ...) is deprecated; call "
-        "traced.detect_stalled(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return traced.detect_stalled(min_age_s=min_age_s)

@@ -6,7 +6,7 @@ reason about them:
 
 * the **dynamic** side — :mod:`repro.testing.watchdog` builds its
   lock-graph node names from these constants (``rank0:recv-shard2``,
-  ``rank1:channel->3.0``), so stall snapshots and lock-order violation
+  ``rank1:send-sets``), so stall snapshots and lock-order violation
   reports speak this vocabulary;
 * the **static** side — the reprolint lock-order checker
   (:mod:`repro.analysis.locks`) maps ``with``/``acquire()`` sites in
@@ -29,27 +29,28 @@ Rank order (outermost first):
 1.  ``recv-shard`` — per-endpoint matching-shard locks (ascending).
 2.  ``recv-wildcard`` — the ANY_TAG wildcard domain; nests inside the
     shard locks, never the other way around.
-3.  ``send-sets`` — the pending-send set.  The engine takes it and the
-    channel lock *sequentially*, never nested, but if they ever were
+3.  ``send-sets`` — the pending-send set.  The engine releases it
+    before calling ``Transport.write``, so it and a transport's write
+    lock are taken *sequentially*, never nested, but if they ever were
     nested this is the required order (Fig. 6 commentary).
 4.  ``rendezvous-ids`` — recv-id table and active-RTS set.
-5.  ``channel-guard`` — the tiny map guard creating channel locks.
-6.  ``conn-cache`` — niodev's connection-cache condition (LRU table,
+5.  ``conn-cache`` — niodev's connection-cache condition (LRU table,
     FD-budget accounting, dial/evict state).  Deliberately *outside*
-    the channel locks: the engine pins a connection via
-    ``Transport.prepare_write`` **before** taking the channel lock, so
-    a write never dials or evicts while holding a channel — taking the
-    cache lock under a channel lock is a hierarchy violation the
-    static checker flags.
-7.  ``channel`` — per-(destination, route-shard) write locks.
-8.  ``proc-out`` — procdev's per-destination outbound-ring locks
-    (restore the SPSC single-producer invariant under the channel
-    lock).
-9.  ``ring-set`` — RingSet's producer locks (same role as proc-out for
-    the generic wrapper).
-10. ``ticker`` — arrival/probe condition variables.
-11. ``completed`` — completion-shard locks and the completions counter.
-12. ``internal`` — leaf locks private to one object (CopyStats, pool
+    the channel locks: ``NIOTransport.write`` pins its connection
+    **before** taking that connection's write lock and unpins after
+    releasing it, so a write never dials or evicts while holding a
+    channel — taking the cache lock under a channel lock is a
+    hierarchy violation the static checker flags.
+6.  ``channel`` — the write lock of one niodev connection (one per
+    destination), held by ``NIOTransport.write`` for a whole frame so
+    socket bytes never interleave.  Owned by the transport: the
+    engine holds no lock across a write.
+7.  ``proc-out`` — procdev's per-destination outbound-ring locks
+    (restore the SPSC single-producer invariant between application
+    threads and the poller); held for one non-blocking ``try_push``.
+8.  ``ticker`` — arrival/probe condition variables.
+9.  ``completed`` — completion-shard locks and the completions counter.
+10. ``internal`` — leaf locks private to one object (CopyStats, pool
     free lists, metric registries, arenas...).  They guard a few
     statements, never another lock.
 """
@@ -60,11 +61,9 @@ RECV_SHARD = "recv-shard"
 RECV_WILDCARD = "recv-wildcard"
 SEND_SETS = "send-sets"
 RENDEZVOUS_IDS = "rendezvous-ids"
-CHANNEL_GUARD = "channel-guard"
 CONN_CACHE = "conn-cache"
 CHANNEL = "channel"
 PROC_OUT = "proc-out"
-RING_SET = "ring-set"
 TICKER = "ticker"
 COMPLETED = "completed"
 INTERNAL = "internal"
@@ -77,11 +76,9 @@ HIERARCHY: dict[str, int] = {
     RECV_WILDCARD: 20,
     SEND_SETS: 30,
     RENDEZVOUS_IDS: 40,
-    CHANNEL_GUARD: 50,
     CONN_CACHE: 55,
     CHANNEL: 60,
     PROC_OUT: 70,
-    RING_SET: 75,
     TICKER: 80,
     COMPLETED: 85,
     INTERNAL: 90,

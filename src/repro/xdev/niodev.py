@@ -8,9 +8,11 @@ Faithful to the paper's structure:
   for every ordered pair (A → B) there is one TCP connection created
   by A and used *only* for A's writes; B registers its end with its
   selector and uses it *only* for reads.
-* **Per-destination write locks**: held by the protocol engine around
-  every write ("there is a separate lock (per destination) associated
-  with each write channel").
+* **Per-destination write locks**: "there is a separate lock (per
+  destination) associated with each write channel" — here the lock
+  lives on the cached connection and is held by
+  :meth:`NIOTransport.write` for the whole frame, so socket bytes of
+  two frames never interleave.
 * **One input-handler thread** (the progress engine) running a
   ``selectors`` loop: "No lock is required for reading messages
   because only one thread receives messages."
@@ -47,11 +49,12 @@ wakeup (:data:`READ_CAP`) so one flooding peer cannot starve the rest
 — the level-triggered epoll backend re-reports leftover bytes.
 
 Eager/rendezvous protocols come from the shared
-:class:`~repro.xdev.protocol.ProtocolEngine`; the engine pins a
-connection via :meth:`~repro.xdev.protocol.Transport.prepare_write`
-*before* taking the channel lock, so ``write`` itself never dials,
-evicts, or touches the cache lock (the ``conn-cache`` lock class ranks
-below ``channel`` — see :mod:`repro.xdev.locknames`).
+:class:`~repro.xdev.protocol.ProtocolEngine`.  ``write`` pins its
+connection (dialing or evicting under the cache lock alone), *then*
+takes the connection's write lock, and unpins after releasing it — so
+nothing dials, evicts, or touches the cache lock while a write lock is
+held (the ``conn-cache`` lock class ranks below ``channel`` — see
+:mod:`repro.xdev.locknames`).
 """
 
 from __future__ import annotations
@@ -144,18 +147,19 @@ def allocate_local_endpoints(nprocs: int, host: str = "127.0.0.1"):
 class _CacheEntry:
     """One write connection in the cache.
 
-    ``pins`` counts writers between ``prepare_write`` and
-    ``finish_write``; only unpinned LIVE entries are eviction
-    candidates.  ``dead`` is set (lock-free, GIL-atomic) by a failed
-    write so the next pin discards and re-dials instead of reusing a
-    broken socket.
+    ``pins`` counts writers inside :meth:`NIOTransport.write`; only
+    unpinned LIVE entries are eviction candidates.  ``write_lock`` (the
+    ``channel`` lock class) serialises those writers' ``sendmsg``
+    loops.  ``dead`` is set (lock-free, GIL-atomic) by a failed write
+    so the next pin discards and re-dials instead of reusing a broken
+    socket.
     """
 
     DIALING = "dialing"
     LIVE = "live"
     EVICTING = "evicting"
 
-    __slots__ = ("uid", "sock", "state", "pins", "tick", "dead")
+    __slots__ = ("uid", "sock", "state", "pins", "tick", "dead", "write_lock")
 
     def __init__(self, uid: int) -> None:
         self.uid = uid
@@ -164,6 +168,7 @@ class _CacheEntry:
         self.pins = 0
         self.tick = 0
         self.dead = False
+        self.write_lock = threading.Lock()
 
 
 class ConnectionCache:
@@ -236,7 +241,7 @@ class ConnectionCache:
             self.peak = open_now
 
     # ------------------------------------------------------------------
-    # pin / unpin — the prepare_write / finish_write backend
+    # pin / unpin — bracket every NIOTransport.write
 
     def pin(self, uid: int, dial) -> _CacheEntry:
         """Return a pinned LIVE entry for *uid*, dialing on a miss.
@@ -465,10 +470,6 @@ class NIOTransport(Transport):
         self._selector = _make_selector()
         self._thread: threading.Thread | None = None
         self._cache = ConnectionCache(fd_budget(fd_budget_opt))
-        #: Entries pinned by prepare_write, per thread; write() reads
-        #: them here so it never touches the cache lock under the
-        #: channel lock.
-        self._pinned = threading.local()
         #: Rank-to-self frames: joined blobs drained by the input
         #: handler — no loopback TCP, no FDs, no syscall round-trip.
         self._self_inbox: deque[bytes] = deque()
@@ -510,8 +511,8 @@ class NIOTransport(Transport):
         )
         self._thread.start()
         # No connection setup: the bootstrap shipped addresses only.
-        # Sockets appear on first send (prepare_write -> cache miss ->
-        # dial) and on first inbound accept.
+        # Sockets appear on first send (write -> cache miss -> dial)
+        # and on first inbound accept.
 
     def _tune(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -542,7 +543,7 @@ class NIOTransport(Transport):
             pass
 
     # ------------------------------------------------------------------
-    # dialing (lazy, from prepare_write)
+    # dialing (lazy, from write's pin)
 
     def _dial(self, dest: ProcessID) -> socket.socket:
         """Dial *dest* with a bounded retry window (it may still be
@@ -592,92 +593,79 @@ class NIOTransport(Transport):
             self._c_connect_errors.inc()
 
     # ------------------------------------------------------------------
-    # writing (called by the engine; prepare/finish bracket the
-    # channel lock, write runs under it)
+    # writing
 
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
-        if self._closed:
-            raise XDevException("transport closed")
-        if dest.uid == self._my_uid:
-            return  # self-sends ride the in-process inbox: no socket
-        entry = self._cache.pin(dest.uid, lambda: self._dial(dest))
-        stack = getattr(self._pinned, "stack", None)
-        if stack is None:
-            stack = self._pinned.stack = []
-        stack.append(entry)
-
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
-        if dest.uid == self._my_uid:
-            return
-        stack = getattr(self._pinned, "stack", None) or []
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i].uid == dest.uid:
-                self._cache.unpin(stack.pop(i))
-                return
-
-    def _pinned_entry(self, uid: int) -> _CacheEntry | None:
-        stack = getattr(self._pinned, "stack", None) or []
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i].uid == uid:
-                return stack[i]
-        return None
-
-    def write(self, dest: ProcessID, segments, route: int = 0) -> None:
-        # *route* is accepted for signature uniformity with routed
-        # transports but ignored: one TCP bytestream per peer means two
-        # in-flight writes to the same dest would interleave bytes and
-        # corrupt framing, so niodev keeps ``routed = False`` and one
-        # channel lock per destination.  Endpoint demux for stream
-        # transports happens on the *receive* side instead — the input
-        # handler hands each decoded frame to the engine, whose
-        # ShardedMatcher picks the (context, tag) shard by content.
+    def write(self, dest: ProcessID, segments, route: int = 0, on_delivered=None) -> None:
+        # *route* is ignored: one TCP bytestream per peer orders every
+        # frame to that peer.  Endpoint demux for stream transports
+        # happens on the *receive* side — the input handler hands each
+        # decoded frame to the engine, whose ShardedMatcher picks the
+        # (context, tag) shard by content.
         if self._closed:
             raise XDevException("transport closed")
         if dest.uid == self._my_uid:
             self._write_self(segments)
-            return
-        entry = self._pinned_entry(dest.uid)
-        if entry is None:
-            # The engine contract: prepare_write pins the connection
-            # before the channel lock.  Touching the cache from here
-            # would acquire conn-cache under channel — the hierarchy
-            # inversion the lock-order checker exists to flag.
-            raise XDevException(
-                f"write to {dest} without a pinned connection "
-                "(prepare_write not called)"
-            )
-        sock = entry.sock
-        views = [memoryview(s).cast("B") for s in segments]
-        # The user's payload goes straight from its own memory into the
-        # kernel socket buffer — its final destination on this host.
-        if self._engine is not None:
+        else:
+            self._write_socket(dest, segments)
+        # Consuming transport: the bytes are in the kernel (or the
+        # self-inbox blob), so the caller's memory is free again.
+        if on_delivered is not None:
+            on_delivered()
+
+    def _write_socket(self, dest: ProcessID, segments) -> None:
+        """Pin → lock → ``sendmsg`` loop → unlock → unpin.
+
+        The pin (dial, evict — all under the cache lock alone) comes
+        before the write lock and the unpin after its release: taking
+        ``conn-cache`` under ``channel`` would invert the hierarchy and
+        stall unrelated senders behind a slow connect.
+        """
+        engine = self._engine
+        entry = self._cache.pin(dest.uid, lambda: self._dial(dest))
+        try:
+            sock = entry.sock
+            # Empty segments are dropped: sendmsg reports them as 0 bytes
+            # sent, which the loop below could never advance past.
+            views = [memoryview(s).cast("B") for s in segments if len(s)]
+            # The user's payload goes straight from its own memory into
+            # the kernel socket buffer — its final destination on this
+            # host.
             payload_len = sum(len(v) for v in views) - HEADER_SIZE
             if payload_len > 0:
-                self._engine.copy_stats.moved(payload_len)
-        # Gather-write without joining (the mpjbuf zero-copy argument):
-        # sendmsg may accept only part; advance through the segment list.
-        try:
-            while views:
-                try:
-                    sent = sock.sendmsg(views)  # reprolint: allow[no-block-in-poller] -- input-handler writes are small control frames (RTR/ack) the socket buffer absorbs; the large rendezvous DATA write is forked onto rendez-write-thread (fork_rendezvous_writer, paper Fig. 8)
-                except InterruptedError:  # pragma: no cover - EINTR
-                    continue
-                while sent > 0 and views:
-                    if sent >= len(views[0]):
-                        sent -= len(views[0])
-                        views.pop(0)
-                    else:
-                        views[0] = views[0][sent:]
-                        sent = 0
-        except OSError as exc:
-            # Mark (lock-free) rather than discard: removing the entry
-            # needs the cache lock, which must not be taken under the
-            # channel lock.  unpin retires the corpse; the next send
-            # transparently re-dials.
-            entry.dead = True
-            raise XDevException(
-                f"write channel to {dest} failed: {exc}"
-            ) from exc
+                engine.copy_stats.moved(payload_len)
+            t0 = time.monotonic()
+            entry.write_lock.acquire()
+            # Gather-write without joining (the mpjbuf zero-copy
+            # argument): sendmsg may accept only part; advance through
+            # the segment list with the lock held, so another thread's
+            # frame cannot land between two parts of this one.
+            try:
+                engine.observe_lock_wait(t0)
+                while views:
+                    try:
+                        sent = sock.sendmsg(views)  # reprolint: allow[no-block-in-poller] -- input-handler writes are small control frames (RTR/ack) the socket buffer absorbs; the large rendezvous DATA write is forked onto rendez-write-thread (fork_rendezvous_writer, paper Fig. 8)
+                    except InterruptedError:  # pragma: no cover - EINTR
+                        continue
+                    while sent > 0 and views:
+                        if sent >= len(views[0]):
+                            sent -= len(views[0])
+                            views.pop(0)
+                        else:
+                            views[0] = views[0][sent:]
+                            sent = 0
+            except OSError as exc:
+                # Mark (lock-free) rather than discard: removing the
+                # entry needs the cache lock, which must not be taken
+                # under the write lock.  unpin retires the corpse; the
+                # next send transparently re-dials.
+                entry.dead = True
+                raise XDevException(
+                    f"write channel to {dest} failed: {exc}"
+                ) from exc
+            finally:
+                entry.write_lock.release()
+        finally:
+            self._cache.unpin(entry)
 
     def _write_self(self, segments) -> None:
         """Satellite: the rank-to-self short-circuit.

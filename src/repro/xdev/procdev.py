@@ -32,10 +32,10 @@ Datapath:
   idle CPU is the practical equivalent.
 
 The transport is *consuming* (``retains_segments = False``): every
-write lands in shared memory before returning, so the engine fires
-delivery fences itself, and it is *unrouted*: one SPSC ring per
-directed rank pair regardless of endpoint count (the matching shards
-still parallelize above it).
+write lands in shared memory before returning, so ``write`` fires the
+delivery fence itself, and it ignores the content route: one SPSC ring
+per directed rank pair regardless of endpoint count (the matching
+shards still parallelize above it).
 
 Two wiring modes share all of the above:
 
@@ -76,6 +76,10 @@ from repro.xdev.exceptions import ConnectionSetupError, XDevException
 from repro.xdev.frames import HEADER_SIZE, FrameHeader, FrameType
 from repro.xdev.processid import ProcessID
 from repro.xdev.protocol import ProtocolEngine, Transport
+
+#: Bound on close()'s wait for peers to release in-flight spill
+#: segments (a dead peer never answers).
+CLOSE_DRAIN_TIMEOUT = 5.0
 
 
 class ProcFabric:
@@ -134,20 +138,21 @@ class ProcFabric:
 class ProcTransport(Transport):
     """Shared-memory ring transport between process (or thread) ranks.
 
-    Consuming and unrouted: ``write`` copies/gathers into shared
-    memory and returns; one progress thread per rank polls the N
-    inbound rings.  Writes issued *by* that progress thread (the
-    engine's RTR control frames, the transport's own RELEASE notices)
-    are never allowed to block — a full ring defers them to a pending
-    queue flushed on every poll iteration.  That rule is what makes
-    the two-poller cycle (A full toward B, B full toward A, both
-    pollers stuck pushing) unreachable: pollers always return to
-    draining, and every blocked application write is therefore
-    eventually freed.
+    Consuming: ``write`` copies/gathers into shared memory and
+    returns; one progress thread per rank polls the N inbound rings.
+    Writes issued *by* that progress thread (the engine's RTR control
+    frames, the transport's own RELEASE notices) are never allowed to
+    block — a full ring defers them to a pending queue flushed on every
+    poll iteration — and the outbound-ring lock is the *only* lock on
+    the write path, held for one non-blocking ``try_push`` at a time,
+    never across the wait for a full ring.  Together those two rules
+    make the two-poller cycle (A full toward B, B full toward A, both
+    pollers stuck pushing or queued behind a spinning application
+    thread's lock) unreachable: pollers always return to draining, and
+    every blocked application write is therefore eventually freed.
     """
 
     retains_segments = False
-    routed = False
 
     def __init__(
         self,
@@ -205,7 +210,7 @@ class ProcTransport(Transport):
         )
         self._poller.start()
 
-    def write(self, dest: ProcessID, segments, on_delivered=None, route: int = 0) -> None:
+    def write(self, dest: ProcessID, segments, route: int = 0, on_delivered=None) -> None:
         if self._closed:
             raise XDevException("transport closed")
         drank = self._uid_to_rank.get(dest.uid)
@@ -228,8 +233,9 @@ class ProcTransport(Transport):
             if payload_len > 0 and self._engine is not None:
                 # The slot is the wire: one gather into shared memory.
                 self._engine.copy_stats.moved(payload_len)
-        # Consuming transport: segments are in shared memory now, the
-        # engine fires on_delivered itself after write() returns.
+        # Consuming transport: the segments are in shared memory now.
+        if on_delivered is not None:
+            on_delivered()
 
     def _write_spill(self, drank: int, header, payload, payload_len: int) -> None:
         seg = self._arena.acquire(payload_len)
@@ -257,10 +263,14 @@ class ProcTransport(Transport):
 
     def _push(self, drank: int, kind: int, chunks) -> None:
         """Route a push by calling thread: pollers defer, others block."""
+        lock = self._out_locks[drank]
         if threading.current_thread() is self._poller:
-            with self._out_locks[drank]:
-                if self._out[drank].try_push(kind, chunks):
-                    return
+            # Frames already parked for this dest go first (FIFO per
+            # calling thread), so only an empty backlog may push now.
+            if not any(d == drank for d, _, _ in self._deferred):
+                with lock:
+                    if self._out[drank].try_push(kind, chunks):
+                        return
             # Full ring + poller thread: park the frame (tiny control
             # traffic only — RTR and RELEASE) and keep draining.
             self._deferred.append((drank, kind, _join(chunks)))
@@ -269,9 +279,17 @@ class ProcTransport(Transport):
         deadline = time.monotonic() + self._ring_timeout
         backoff = Backoff()
         while True:
-            with self._out_locks[drank]:
+            # The lock covers one try_push, never the wait for space:
+            # a thread spinning on a full ring must not hold anything
+            # the poller's own (deferring) pushes would queue behind.
+            t0 = time.monotonic()
+            lock.acquire()
+            try:
+                self._engine.observe_lock_wait(t0)
                 if self._out[drank].try_push(kind, chunks):
                     return
+            finally:
+                lock.release()
             if self._closed:
                 raise RingStalledError("transport closing while ring full")
             if time.monotonic() > deadline:
@@ -308,14 +326,18 @@ class ProcTransport(Transport):
 
     def _flush_deferred(self) -> bool:
         flushed = False
+        full: set[int] = set()  # dests that refused a frame this pass
         for _ in range(len(self._deferred)):
             drank, kind, blob = self._deferred.popleft()
-            with self._out_locks[drank]:
-                pushed = self._out[drank].try_push(kind, [blob])
-            if pushed:
-                flushed = True
-            else:
-                self._deferred.append((drank, kind, blob))
+            if drank not in full:
+                with self._out_locks[drank]:
+                    pushed = self._out[drank].try_push(kind, [blob])
+                if pushed:
+                    flushed = True
+                    continue
+                # Later frames to this dest must stay behind this one.
+                full.add(drank)
+            self._deferred.append((drank, kind, blob))
         return flushed
 
     def _dispatch(self, src_rank: int, kind: int, view: memoryview) -> None:
@@ -372,8 +394,18 @@ class ProcTransport(Transport):
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
         poller = self._poller
+        if poller is not threading.current_thread():
+            # A spill segment's handle may still sit unread in a peer's
+            # ring: unlinking the segment before the peer maps it loses
+            # the message (its attach fails, the receive never
+            # completes).  The poller is still running, so RELEASE
+            # notices keep coming home; wait for them, bounded.
+            deadline = time.monotonic() + CLOSE_DRAIN_TIMEOUT
+            backoff = Backoff()
+            while self._arena.inflight_names() and time.monotonic() < deadline:
+                backoff.wait()
+        self._closed = True
         if poller is not None and poller is not threading.current_thread():
             poller.join(timeout=5)
         for seg in self._attached.values():

@@ -7,32 +7,38 @@ paper implements inside niodev, so that every pure-Python transport
 offers its pseudocode "as a blueprint for developing other thread-safe
 devices", and this engine is that blueprint made executable.
 
-Locking discipline (paper Section IV-A, endpoint-sharded):
+Locking discipline (paper Section IV-A, endpoint-sharded).  The engine
+owns five lock classes (names as in :mod:`repro.xdev.locknames`):
 
-* ``receive-communication-sets`` — the paper's single lock, now split
-  across the :class:`~repro.xdev.matching.ShardedMatcher`'s per-shard
-  locks (one per endpoint; wildcard receives take the global all-shard
-  path).  ``REPRO_ENDPOINTS=1`` reproduces the paper's single lock.
-* ``send-communication-sets`` lock — guards the pending-send set
-  (Figs 6, 8).
-* a ``rendezvous-ids`` lock — guards the recv-id table and active-RTS
-  set (id-addressed state, not part of any matching shard).
-* **channel locks per (destination, route shard)** — serialize writes
-  to a peer; "every thread that tries to write a message first
-  acquires the associated lock".  On routed transports (smdev's
-  per-endpoint inboxes) frames with different content routes commute,
-  so each (dest, shard) pair gets its own lock; on stream transports
-  (niodev sockets) all routes share the dest's single lock because
-  socket bytes must not interleave.
-* No lock for reading: input-handler threads (one per endpoint inbox
-  on smdev) demultiplex frames by content route, so two handlers never
-  touch the same matching shard's stream.
+* ``recv-shard`` and ``recv-wildcard`` — the paper's single
+  ``receive-communication-sets`` lock, split across the
+  :class:`~repro.xdev.matching.ShardedMatcher`'s per-shard locks (one
+  per endpoint; wildcard receives take the global all-shard path).
+  ``REPRO_ENDPOINTS=1`` reproduces the paper's single lock.
+* ``send-sets`` — guards the pending-send set (Figs 6, 8).
+* ``rendezvous-ids`` — guards the recv-id table and active-RTS set
+  (id-addressed state, not part of any matching shard).
+* ``completed`` — the completion shards and the completions counter.
 
-The two locks taken by a rendezvous send are acquired *one after the
-other*, never nested ("to avoid blocking other user threads sending
-messages to different destinations", Fig. 6 commentary).  Request
-completion always happens outside engine locks, since completion
-listeners (peek queue, WaitAny wake-ups) take their own locks.
+**Write serialisation is the transport's**, as in the paper, where the
+per-destination write lock lives inside niodev ("every thread that
+tries to write a message first acquires the associated lock"):
+:meth:`Transport.write` is thread-safe and ordered by contract, and
+each transport serialises with what its medium needs — nothing for
+smdev's atomic ``queue.put``, a write lock on the pinned connection
+for niodev's byte stream, the outbound-ring lock for procdev.  The
+engine holds none of its own locks across a ``write``, so a transport
+blocking on a full medium can never wedge another thread's protocol
+step.  No lock for reading: input-handler threads (one per endpoint
+inbox on smdev) demultiplex frames by content route, so two handlers
+never touch the same matching shard's stream.
+
+The send-sets lock and the write of a rendezvous send are taken *one
+after the other*, never nested ("to avoid blocking other user threads
+sending messages to different destinations", Fig. 6 commentary).
+Request completion always happens outside engine locks, since
+completion listeners (peek queue, WaitAny wake-ups) take their own
+locks.
 
 Send modes: the MPI specification's four modes map onto the two
 protocols exactly as in the paper — *standard* picks eager below the
@@ -94,73 +100,46 @@ _VALID_MODES = frozenset({MODE_STANDARD, MODE_SYNC, MODE_READY, MODE_BUFFERED})
 class Transport(abc.ABC):
     """What the protocol engine needs from a byte transport.
 
-    ``write`` must deliver the segment list to *dest* intact and in
-    order w.r.t. other writes to the same destination; the engine
-    guarantees it never calls ``write`` concurrently for one
-    destination (the channel lock), but does call it concurrently for
-    *different* destinations.
+    ``write(dest, segments, route=0, on_delivered=None)`` is the whole
+    write contract: thread-safe, FIFO per calling thread per
+    ``(dest, route)``, frames never interleaved, and the fence it is
+    handed fires exactly once (before return on consuming transports,
+    from the delivery path on retaining ones, never if ``write``
+    raises).  The engine calls it from any thread with no lock held;
+    each transport serialises with what its medium needs.
+
+    *route* is the frame's content route (see
+    :mod:`repro.xdev.endpoints`).  Transports with per-endpoint
+    inboxes deliver on ``route % endpoints``; byte-stream transports
+    ignore it, since one stream per peer already orders everything.
 
     Segment lifetime (the zero-copy contract): a transport whose
     ``write`` may keep referencing the caller's segment memory after
     returning — queue transports that enqueue by reference, decorators
-    that hold frames back — must set :attr:`retains_segments` and
-    accept the engine's ``on_delivered`` fence, invoking it exactly
-    once when the segments are no longer needed.  A transport that
-    consumes the segments before ``write`` returns (TCP ``sendmsg``
-    copies into the kernel) leaves the default ``False`` and never
-    sees the fence: the engine fires it itself after ``write``.
+    that hold frames back — sets :attr:`retains_segments`, and the
+    engine hands it stable (staged) memory for eager sends.  A
+    transport that consumes the segments before ``write`` returns (TCP
+    ``sendmsg`` copies into the kernel) leaves the default ``False``.
     """
 
-    #: True when write() may reference segments after returning; such
-    #: transports must implement ``write(dest, segments, on_delivered)``.
+    #: True when write() may reference segments after returning.  It
+    #: decides eager staging (``ProtocolEngine._stable_segments``) and
+    #: the collective window gate in ``mpi/comm.py``.
     retains_segments: bool = False
-
-    #: True when the transport demultiplexes frames by content route —
-    #: it accepts ``write(..., route=r)`` and delivers frames with
-    #: different routes independently (per-endpoint inboxes).  The
-    #: engine then shards channel locks per (dest, route shard); for
-    #: the default False (byte-stream transports like TCP) all routes
-    #: to one dest share a single channel lock, because interleaving
-    #: two writes would corrupt the stream.
-    routed: bool = False
-
-    #: True when the transport serializes same-destination writes
-    #: itself (decorators like ChaosTransport, whose replay threads
-    #: must share the serialization lock with caller threads anyway).
-    #: The engine then skips its channel lock entirely — holding it
-    #: across such a transport's ``write`` would stack the engine's
-    #: channel lock *over* the inner transport's ``prepare_write``
-    #: resources (the conn-cache, rank 55 < channel 60): a hierarchy
-    #: inversion.
-    self_locking: bool = False
 
     @abc.abstractmethod
     def start(self, engine: "ProtocolEngine") -> None:
         """Begin delivering inbound frames to ``engine.handle_frame``."""
 
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
-        """Reserve transport resources for an imminent ``write``.
-
-        Called by the engine *before* it takes the (dest, route shard)
-        channel lock, paired with :meth:`finish_write` after the lock
-        is released.  Connection-oriented transports use this to dial
-        or evict under their own cache lock while **no** channel lock
-        is held — dialing under a channel lock would invert the
-        documented hierarchy (``conn-cache`` ranks below ``channel``,
-        see :mod:`repro.xdev.locknames`) and stall unrelated senders
-        behind a slow connect.  Default: no-op.
-        """
-
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
-        """Release resources reserved by :meth:`prepare_write`.
-
-        Called in a ``finally`` after the channel lock is released, so
-        it runs even when ``write`` raises.  Default: no-op.
-        """
-
     @abc.abstractmethod
-    def write(self, dest: ProcessID, segments: list[bytes | memoryview]) -> None:
-        """Blocking, in-order write of *segments* to *dest*."""
+    def write(
+        self,
+        dest: ProcessID,
+        segments: list[bytes | memoryview],
+        route: int = 0,
+        on_delivered: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Write one frame to *dest* (see the class docstring)."""
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -272,13 +251,6 @@ class ProtocolEngine:
         #: the sticky round-robin thread → endpoint binding.
         self.endpoints = endpoint_count(endpoints)
         self._binding = EndpointBinding(self.endpoints)
-        #: Whether the transport demultiplexes by content route (smdev
-        #: per-endpoint inboxes); decides channel-lock sharding and
-        #: whether ``write`` receives the route.
-        self._routed = bool(getattr(transport, "routed", False))
-        #: Whether the transport serializes same-dest writes itself
-        #: (ChaosTransport); the engine then skips its channel lock.
-        self._self_locking = bool(getattr(transport, "self_locking", False))
 
         # receive-communication-sets, sharded per endpoint (the seed's
         # single lock + MessageQueues is the nshards=1 special case).
@@ -300,10 +272,6 @@ class ProtocolEngine:
         self._send_lock = threading.Lock()
         self._pending_sends: dict[int, _PendingSend] = {}
 
-        # per-(destination, route shard) channel locks
-        self._channel_locks: dict[tuple[int, int], threading.Lock] = {}
-        self._channel_locks_guard = threading.Lock()
-
         # completed-request shards backing peek(), one per endpoint
         self._completions = CompletionShards(self.endpoints)
         self._completions_lock = threading.Lock()
@@ -314,11 +282,13 @@ class ProtocolEngine:
         #: Causal wire context (repro.xdev.causal): the Lamport clock
         #: ticked on every frame send and merged on every receipt, and
         #: the per-engine flow sequence assigned once per user-level
-        #: send.  Always on — headers carry the context whether or not
+        #: send (a second locked counter: ``tick()`` issues the next
+        #: flow id, ``value()`` is the number of flows started).
+        #: Always on — headers carry the context whether or not
         #: tracing is enabled, at the cost of one locked increment per
         #: frame (no allocation on the REPRO_TRACE-unset fast path).
         self.clock = LamportClock()
-        self._flow_seq = itertools.count(1)
+        self._flow_seq = LamportClock()
 
         # statistics (tests + benches)
         self.stats = {
@@ -329,7 +299,6 @@ class ProtocolEngine:
             "completions": 0,
             "duplicate_control_frames": 0,
             "failed_deliveries": 0,
-            "flows": 0,
         }
 
         # Observability: hot paths go through pre-bound instruments —
@@ -342,13 +311,13 @@ class ProtocolEngine:
         self._h_recv_bytes = m.histogram("recv.bytes")
         self._h_send_latency = m.histogram("send.latency_us")
         self._h_recv_latency = m.histogram("recv.latency_us")
+        #: Wait for a transport's write lock, observed by the locking
+        #: transports through :meth:`observe_lock_wait`; stays at
+        #: count 0 on transports that need no lock (smdev).
         self._h_lock_wait = m.histogram("channel_lock.wait_us")
-        #: Per-endpoint channel-lock wait histograms: the sharding win,
-        #: visible — with REPRO_ENDPOINTS=1 every wait lands in ep=0.
-        self._h_ep_lock_wait = [
-            m.histogram(f"ep.lock_wait_us{{ep={i}}}") for i in range(self.endpoints)
-        ]
-        m.attach("engine", lambda: dict(self.stats))
+        m.attach(
+            "engine", lambda: {**self.stats, "flows": self._flow_seq.value()}
+        )
         m.attach("matching", self._matching_counters)
         m.attach("queues", self.introspect_queues)
         m.attach("endpoints", self.introspect_endpoints)
@@ -359,7 +328,10 @@ class ProtocolEngine:
         # it across ranks bounds how causally chatty the job was.
         m.attach(
             "causal",
-            lambda: {"clock": self.clock.value(), "flows": self.stats["flows"]},
+            lambda: {
+                "clock": self.clock.value(),
+                "flows": self._flow_seq.value(),
+            },
         )
         #: JSONL trace writer, created when REPRO_TRACE names a
         #: directory — every rank of every launcher/daemon job traces
@@ -369,22 +341,13 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # plumbing
 
-    def channel_lock(self, dest: ProcessID, route: int = 0) -> threading.Lock:
-        """The write lock for *dest*'s channel, created on first use.
-
-        On a routed transport each (dest, route shard) gets its own
-        lock — writes on different routes land in different endpoint
-        inboxes and commute; on a stream transport every route maps to
-        shard 0, the seed's one-lock-per-destination discipline.
-        """
-        shard = route % self.endpoints if self._routed else 0
-        key = (dest.uid, shard)
-        with self._channel_locks_guard:
-            lock = self._channel_locks.get(key)
-            if lock is None:
-                lock = threading.Lock()
-                self._channel_locks[key] = lock
-            return lock
+    def observe_lock_wait(self, t0: float) -> None:
+        """Record a write-lock wait that began at ``time.monotonic()``
+        *t0* — the one place ``channel_lock.wait_us`` is observed.
+        Transports whose medium needs a lock around ``write`` (niodev's
+        pinned connection, procdev's outbound ring) call it right
+        after their acquire."""
+        self._h_lock_wait.observe((time.monotonic() - t0) * 1e6)
 
     def _check_live(self) -> None:
         if self._finished:
@@ -409,7 +372,7 @@ class ProtocolEngine:
         # its endpoint's completion shard.
         with self._completions_lock:
             self.stats["completions"] += 1
-        self._completions.push(request, getattr(request, "endpoint", 0))
+        self._completions.push(request, request.endpoint)
 
     def _write(
         self,
@@ -418,80 +381,14 @@ class ProtocolEngine:
         on_delivered: Optional[Callable[[], None]] = None,
         route: int = 0,
     ) -> None:
-        """Write under the (destination, route shard) channel lock.
+        """Hand one frame to the transport (its write contract applies).
 
         *on_delivered* fires exactly once when the transport no longer
-        references the segment memory: immediately after ``write``
-        returns for consuming transports, or from the transport's own
-        delivery path for retaining ones (queue transports, chaosdev).
-
+        references the segment memory, and never if the write raises;
         *route* is the frame's content route (see
-        :mod:`repro.xdev.endpoints`): it picks the channel-lock shard
-        and, on routed transports, the destination endpoint inbox.
+        :mod:`repro.xdev.endpoints`).
         """
-        # Resource reservation (connection pin/dial/evict) happens
-        # BEFORE the channel lock: the cache lock ranks below the
-        # channel lock, so taking it the other way around is a
-        # hierarchy violation (and would serialize a dial behind
-        # unrelated writes).  finish_write runs after release, even on
-        # a failed write.
-        self.transport.prepare_write(dest, route)
-        handed_off = False
-        try:
-            if self._self_locking:
-                # The transport orders same-dest writes with its own
-                # lock (its replay threads must share that lock with
-                # caller threads, so the engine's channel lock could
-                # not serialize them anyway).  Skipping the channel
-                # lock here also keeps the engine from holding
-                # 'channel' over the inner transport's prepare_write
-                # resources — a hierarchy inversion.
-                handed_off = self._dispatch_write(
-                    dest, segments, on_delivered, route
-                )
-            else:
-                lock = self.channel_lock(dest, route)
-                if self._metrics_on:
-                    t0 = time.monotonic()
-                    lock.acquire()
-                    wait_us = (time.monotonic() - t0) * 1e6
-                    self._h_lock_wait.observe(wait_us)
-                    self._h_ep_lock_wait[self._binding.current()].observe(wait_us)
-                else:
-                    lock.acquire()
-                try:
-                    handed_off = self._dispatch_write(dest, segments, on_delivered, route)  # reprolint: allow[lock-order] -- abstract dispatch fans to every Transport.write, including self-locking decorators whose closure reaches conn-cache via inner.prepare_write; those transports are dynamically routed to the unlocked branch above and never reach this line
-                finally:
-                    lock.release()
-        finally:
-            self.transport.finish_write(dest, route)
-        if on_delivered is not None and not handed_off:
-            on_delivered()
-
-    def _dispatch_write(
-        self,
-        dest: ProcessID,
-        segments: list,
-        on_delivered: Optional[Callable[[], None]],
-        route: int,
-    ) -> bool:
-        """Invoke ``transport.write`` with the right signature.
-
-        Returns True when the transport took ownership of the
-        *on_delivered* fence (retaining transports), so the caller
-        must not fire it itself.
-        """
-        if self._routed:
-            if on_delivered is not None and self.transport.retains_segments:
-                self.transport.write(dest, segments, on_delivered, route=route)
-                return True
-            self.transport.write(dest, segments, route=route)
-        elif on_delivered is not None and self.transport.retains_segments:
-            self.transport.write(dest, segments, on_delivered)
-            return True
-        else:
-            self.transport.write(dest, segments)
-        return False
+        self.transport.write(dest, segments, route, on_delivered)
 
     # ------------------------------------------------------------------
     # sends
@@ -517,8 +414,8 @@ class ProtocolEngine:
         ep = self._binding.current()
         request.endpoint = ep
         # Content route: every frame of this (context, tag, src) stream
-        # takes the same channel-lock shard and destination inbox, so
-        # the non-overtaking rule holds structurally.
+        # takes the same destination inbox, so the non-overtaking rule
+        # holds structurally.
         route = route_of(context, tag)
 
         if mode == MODE_SYNC:
@@ -531,17 +428,17 @@ class ProtocolEngine:
         # Causal context: one flow id per user-level send, carried by
         # every frame of this message; the clock ticks once per frame
         # at the moment that frame is built.
-        flow_seq = next(self._flow_seq)
-        self.stats["flows"] += 1
+        flow_seq = self._flow_seq.tick()
 
         tracer = self.tracer
         if use_eager:
-            # Fig. 3: lock dest channel / send the data / unlock /
-            # return a non-pending send request object.  A consuming
-            # transport (sendmsg) gathers the live segments — zero
-            # staging; a retaining transport (in-process queues) gets
-            # a stable staged copy so the request can still complete
-            # non-pending while the frame sits in the peer's inbox.
+            # Fig. 3: lock dest channel / send the data / unlock (the
+            # transport's write does all three) / return a non-pending
+            # send request object.  A consuming transport (sendmsg)
+            # gathers the live segments — zero staging; a retaining
+            # transport (in-process queues) gets a stable staged copy
+            # so the request can still complete non-pending while the
+            # frame sits in the peer's inbox.
             self.stats["eager_sends"] += 1
             self._h_eager_bytes.observe(buf.size)
             lc = self.clock.tick()
@@ -1295,7 +1192,6 @@ class ProtocolEngine:
             "completed_backlog": self._completions.depths(),
             "completions": self._completions.totals(),
             "probe_stats": dict(self._matcher.probe_stats),
-            "lock_wait_us": [h.snapshot() for h in self._h_ep_lock_wait],
         }
 
     def bind_endpoint(self, endpoint: int) -> int:

@@ -9,9 +9,8 @@ transport is an in-process frame queue per rank.  (The real MPJ
 Express grew an ``smpdev`` along these lines in later releases.)
 
 Crucially, smdev runs the *same* protocol engine — eager/rendezvous,
-four-key matching, sharded channel locks, input-handler threads — as
-niodev, so every protocol invariant is exercised deterministically
-without sockets.
+four-key matching, input-handler threads — as niodev, so every
+protocol invariant is exercised deterministically without sockets.
 
 Per-thread endpoints: each rank owns ``REPRO_ENDPOINTS`` inboxes, one
 per endpoint, each drained by its own input-handler thread.  A frame's
@@ -79,15 +78,13 @@ class SMTransport(Transport):
     point the delivery fence fires and the sender may reuse the
     memory.
 
-    The transport is **routed**: ``write`` takes the frame's content
-    route and enqueues on the destination's ``route % endpoints``
-    inbox.  The engine in turn shards its channel locks per
-    (dest, route shard), so sends on different routes to one peer no
-    longer serialize — the lock-convoy the seed path flatlines on.
+    ``write`` enqueues on the destination's ``route % endpoints``
+    inbox with one ``queue.put`` — atomic and FIFO per inbox, so the
+    write contract holds with no lock of the transport's own, and
+    sends on different routes to one peer never serialize.
     """
 
     retains_segments = True
-    routed = True
 
     _SHUTDOWN = object()
 
@@ -115,7 +112,7 @@ class SMTransport(Transport):
             self._threads.append(thread)
             thread.start()
 
-    def write(self, dest: ProcessID, segments, on_delivered=None, route: int = 0) -> None:
+    def write(self, dest: ProcessID, segments, route: int = 0, on_delivered=None) -> None:
         if self._closed:
             raise XDevException("transport closed")
         # Enqueue by reference: every payload byte "moves" into the

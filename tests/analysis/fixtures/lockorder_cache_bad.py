@@ -1,9 +1,9 @@
 """Fixture: takes the connection-cache lock while holding a channel lock.
 
-CHANNEL (rank 60) outranks CONN_CACHE (rank 55): the engine pins a
-connection via ``prepare_write`` *before* the channel lock, so a write
-that dials or evicts under the channel lock — the pattern below — is
-the inversion the hierarchy forbids.  It would also deadlock against an
+CHANNEL (rank 60) outranks CONN_CACHE (rank 55): niodev's ``write``
+pins its connection *before* taking the channel (write) lock, so a
+write that dials or evicts under the channel lock — the pattern below —
+is the inversion the hierarchy forbids.  It would also deadlock against an
 evictor waiting for the pin this thread holds.
 """
 

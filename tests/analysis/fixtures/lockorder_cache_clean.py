@@ -1,6 +1,6 @@
 """Fixture: the legal cache/channel ordering — pin first, lock second.
 
-Mirrors the engine's write path: the connection is pinned under the
+Mirrors niodev's write path: the connection is pinned under the
 cache lock (rank 55) and *released* before the channel lock (rank 60)
 is taken, so the two are held sequentially in ascending-rank order,
 never inverted.
@@ -27,7 +27,7 @@ class Transport:
             pass
 
     def cache_then_channel_nested(self, dest) -> None:
-        # Even *nested* the ascending order is legal; the engine just
+        # Even *nested* the ascending order is legal; niodev just
         # chooses not to nest them.
         with self._cache_lock:
             with self.channel_lock(dest):

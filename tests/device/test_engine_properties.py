@@ -32,9 +32,11 @@ class QueueTransport(Transport):
     def start(self, engine) -> None:
         self.engine = engine
 
-    def write(self, dest, segments) -> None:
+    def write(self, dest, segments, route=0, on_delivered=None) -> None:
         data = b"".join(bytes(s) for s in segments)
         self.network.setdefault((self.me.uid, dest.uid), []).append(data)
+        if on_delivered is not None:
+            on_delivered()  # consuming transport: the bytes were copied
 
     def close(self) -> None:
         pass

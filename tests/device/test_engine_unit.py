@@ -24,11 +24,13 @@ class ScriptedTransport(Transport):
     def start(self, engine) -> None:
         self.engine = engine
 
-    def write(self, dest, segments) -> None:
+    def write(self, dest, segments, route=0, on_delivered=None) -> None:
         data = b"".join(bytes(s) for s in segments)
         header = FrameHeader.decode(data[:HEADER_SIZE])
         payload = data[HEADER_SIZE : HEADER_SIZE + header.payload_len]
         self.frames.append((dest, header, payload))
+        if on_delivered is not None:
+            on_delivered()  # consuming transport: the bytes were copied
 
     def close(self) -> None:
         pass

@@ -29,8 +29,10 @@ class _NullTransport(Transport):
     def start(self, engine) -> None:
         self.engine = engine
 
-    def write(self, dest, segments) -> None:
+    def write(self, dest, segments, route=0, on_delivered=None) -> None:
         self.writes.append((dest, b"".join(bytes(s) for s in segments)))
+        if on_delivered is not None:
+            on_delivered()  # consuming transport: the bytes were copied
 
     def close(self) -> None:
         pass

@@ -137,6 +137,38 @@ class TestSpillRecycling:
             for d in devices:
                 d.finish()
 
+    def test_finish_waits_for_spills_the_peer_has_not_mapped_yet(self):
+        """A sender that finishes right after a rendezvous completes
+        must not unlink the spill segment under a receiver whose poller
+        has not attached it yet — the message would be lost and the
+        receive would hang (the cross-process ring-exchange flake)."""
+        from repro.shm.ring import KIND_SPILL
+
+        devices, pids = make_job("procdev", 2)
+        try:
+            receiver = devices[1].engine.transport
+            dispatch = receiver._dispatch
+
+            def slow_dispatch(src_rank, kind, view):
+                if kind == KIND_SPILL:
+                    time.sleep(0.3)  # the poller lags behind the sender
+                dispatch(src_rank, kind, view)
+
+            receiver._dispatch = slow_dispatch
+            payload = np.arange(MB, dtype=np.uint8)
+            out = np.empty_like(payload)
+            rbuf = Buffer(capacity=payload.nbytes + 64)
+            req = devices[1].irecv(rbuf, pids[0], 31, 0)
+            devices[0].send(send_buffer(payload), pids[1], 31, 0)
+            devices[0].finish()  # sender leaves while the handle is unread
+            req.wait(timeout=10)
+            rbuf.read_section(out=out)
+            assert np.array_equal(out, payload)
+            assert receiver.errors == []
+        finally:
+            for d in devices:
+                d.finish()
+
 
 class TestHygieneAndIntrospection:
     def test_finish_unlinks_every_job_segment(self):
@@ -176,3 +208,84 @@ class TestHygieneAndIntrospection:
             d.finish()
         for d in devices:
             d.finish()
+
+
+class TestFullRingsBothWays:
+    """Both directions' rings full at once must drain, not wedge.
+
+    With a lock held across the blocking wait for ring space, an
+    application thread spinning on a full ring held what the poller's
+    RTR answer queued for, so both pollers stopped draining and every
+    flood thread ended in ``RingStalledError``.  The outbound-ring lock
+    now covers one ``try_push`` only and the engine holds nothing
+    across a write.
+    """
+
+    N_SMALL, N_BIG, BIG = 3000, 200, 300_000
+
+    def test_bidirectional_flood_with_rendezvous_completes(self):
+        from repro.xdev.device import DeviceConfig, new_instance
+        from repro.xdev.procdev import ProcFabric
+
+        # Two 4 KB slots per ring: full after two eager frames.
+        fabric = ProcFabric(2, nslots=2, slot_bytes=4096)
+        devices = [new_instance("procdev") for _ in range(2)]
+        for rank, dev in enumerate(devices):
+            pids = dev.init(DeviceConfig(rank=rank, nprocs=2, fabric=fabric))
+        job_id = devices[0].introspect()["job_id"]
+        errors: list[BaseException] = []
+
+        def guarded(fn, rank):
+            def run():
+                try:
+                    fn(devices[rank], pids[1 - rank])
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            return threading.Thread(target=run, daemon=True)
+
+        def flood_small(dev, peer):
+            for i in range(self.N_SMALL):
+                dev.send(send_buffer(np.full(256, i % 127, np.int8)), peer, 1, 0)
+
+        def flood_big(dev, peer):
+            for i in range(self.N_BIG):
+                dev.send(send_buffer(np.full(self.BIG, i % 127, np.int8)), peer, 2, 0)
+
+        def drain_small(dev, peer):
+            for i in range(self.N_SMALL):
+                rbuf = Buffer(capacity=320)
+                dev.recv(rbuf, peer, 1, 0)
+                got = rbuf.read_section()
+                assert got.size == 256 and (got == i % 127).all(), i
+
+        try:
+            for dev in devices:
+                # A stall must fail the test inside the join below, not
+                # after the default minute.
+                dev.engine.transport._ring_timeout = 8.0
+            posted = []
+            for rank, dev in enumerate(devices):
+                for _ in range(self.N_BIG):
+                    rbuf = Buffer(capacity=self.BIG + 64)
+                    posted.append((rbuf, dev.irecv(rbuf, pids[1 - rank], 2, 0)))
+            threads = [
+                guarded(fn, rank)
+                for rank in (0, 1)
+                for fn in (flood_small, flood_big, drain_small)
+            ]
+            deadline = time.monotonic() + 30.0
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert errors == []
+            assert not any(t.is_alive() for t in threads), "a thread wedged"
+            for n, (rbuf, req) in enumerate(posted):
+                req.wait()
+                got = rbuf.read_section()
+                assert got.size == self.BIG and (got == n % self.N_BIG % 127).all()
+        finally:
+            for dev in devices:
+                dev.finish()
+        assert active_segments(job_id) == []

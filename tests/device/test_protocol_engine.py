@@ -188,13 +188,3 @@ class TestRendezvousWriterAblation:
         devs[1].recv(rbuf, pids[0], 1, 0)
         t.join(20)
         assert devs[0].engine.stats["rendezvous_writer_threads"] == 1
-
-
-class TestChannelLocks:
-    def test_one_lock_per_destination(self, smjob):
-        devs, pids = smjob
-        lock_a = devs[0].engine.channel_lock(pids[1])
-        lock_b = devs[0].engine.channel_lock(pids[1])
-        lock_self = devs[0].engine.channel_lock(pids[0])
-        assert lock_a is lock_b
-        assert lock_a is not lock_self

@@ -159,16 +159,6 @@ class TestStallDetection:
         # Unstall so teardown is clean.
         traced[0].send(send_buffer(np.array([1], dtype=np.int8)), pids[1], 9, 0)
 
-    def test_module_function_is_deprecated_alias(self, traced_pair):
-        traced, pids = traced_pair
-        from repro.trace import detect_stalled
-
-        traced[1].irecv(Buffer(), pids[0], 8, 0)
-        with pytest.warns(DeprecationWarning):
-            stale = detect_stalled(traced[1], min_age_s=0.0)
-        assert [e.op for e in stale] == ["irecv"]
-        traced[0].send(send_buffer(np.array([1], dtype=np.int8)), pids[1], 8, 0)
-
     def test_clock_advances(self, traced_pair):
         traced, _pids = traced_pair
         a = traced[0].clock()
