@@ -6,7 +6,10 @@ own indefinitely:
 * ``Buffer.segments()`` — views of the user's message memory, valid
   only until the delivery fence fires (``Transport.retains_segments``);
 * ``begin_landing`` / ``rendezvous_landing`` — an in-place landing
-  window, closed by ``finish_landing`` / ``release``;
+  window, closed by ``finish_landing`` / ``release``.  These return a
+  scatter *list* of views, so every element taken from the list
+  (``v = views[i]``, ``for v in views``, ``a, b = views``) is a view
+  under the same fence;
 * ``SpscRing.poll()`` — a view of a shared-memory slot, invalid the
   moment ``consume()`` republishes it.
 
@@ -97,73 +100,126 @@ def _fence_lines(fn_node: ast.AST, var: str, kind: str, recv: str) -> list[int]:
     return out
 
 
+def _elements(fn_node: ast.AST, var: str, line: int):
+    """(name, line) for every name bound to an element of the landing
+    list *var* after *line*: ``x = var[i]``, ``a, b = var``,
+    ``for x in var`` and ``for i, x in enumerate(var)``."""
+    for node in ast.walk(fn_node):
+        if getattr(node, "lineno", 0) <= line:
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            value, target = node.value, node.targets[0]
+            if isinstance(value, ast.Subscript) and _is_name(value.value, var):
+                yield from _bound_names(target, node.lineno)
+            elif _is_name(value, var) and isinstance(target, ast.Tuple):
+                yield from _bound_names(target, node.lineno)
+        elif isinstance(node, ast.For):
+            it, target = node.iter, node.target
+            if _is_name(it, var):
+                yield from _bound_names(target, node.lineno)
+            elif (
+                isinstance(it, ast.Call)
+                and dotted_text(it.func) == "enumerate"
+                and it.args
+                and _is_name(it.args[0], var)
+                and isinstance(target, ast.Tuple)
+            ):
+                yield from _bound_names(target.elts[-1], node.lineno)
+
+
+def _bound_names(target: ast.AST, line: int):
+    if isinstance(target, ast.Name):
+        yield target.id, line
+    elif isinstance(target, ast.Tuple):
+        for elt in target.elts:
+            if isinstance(elt, ast.Name):
+                yield elt.id, line
+
+
+def _is_name(node: ast.AST, var: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == var
+
+
 def check_function(fn_node, sf, symbols, findings: list[Finding]) -> None:
     for var, kind, recv, line in _tainted_assigns(fn_node):
         fences = _fence_lines(fn_node, var, kind, recv)
-        first_fence = min(fences) if fences else None
-        for node in ast.walk(fn_node):
-            # store-escape: attribute/subscript assignment of the view
-            if isinstance(node, ast.Assign) and _mentions(node.value, var):
-                if node.lineno <= line:
-                    continue
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        findings.append(
-                            Finding(
-                                checker=CHECKER,
-                                path=sf.rel,
-                                line=node.lineno,
-                                symbol=symbols.get(node.lineno, ""),
-                                message=(
-                                    f"'{var}' (a {kind}-fenced view from "
-                                    f"{recv or 'the buffer'}.{_src_name(kind)}) "
-                                    "is stored outside its delivery window; "
-                                    "copy it instead, or hold the backing "
-                                    "buffer and re-derive the view"
-                                ),
-                            )
+        views = [(var, line)]
+        if kind == "landing":
+            views += _elements(fn_node, var, line)
+        for name, bound in views:
+            _check_view(
+                fn_node, sf, symbols, findings, name, kind, recv, bound, fences
+            )
+
+
+def _check_view(
+    fn_node, sf, symbols, findings, var, kind, recv, line, fences
+) -> None:
+    """Flag store-escapes and post-fence uses of the view name *var*."""
+    first_fence = min(fences) if fences else None
+    for node in ast.walk(fn_node):
+        # store-escape: attribute/subscript assignment of the view
+        if isinstance(node, ast.Assign) and _mentions(node.value, var):
+            if node.lineno <= line:
+                continue
+            for target in node.targets:
+                if isinstance(target, (ast.Attribute, ast.Subscript)):
+                    findings.append(
+                        Finding(
+                            checker=CHECKER,
+                            path=sf.rel,
+                            line=node.lineno,
+                            symbol=symbols.get(node.lineno, ""),
+                            message=(
+                                f"'{var}' (a {kind}-fenced view from "
+                                f"{recv or 'the buffer'}.{_src_name(kind)}) "
+                                "is stored outside its delivery window; "
+                                "copy it instead, or hold the backing "
+                                "buffer and re-derive the view"
+                            ),
                         )
-            # container-escape: .append(view) / .add / .put
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _CONTAINER_SINKS
-                and node.lineno > line
-                and any(_mentions(a, var) for a in node.args)
-            ):
-                findings.append(
-                    Finding(
-                        checker=CHECKER,
-                        path=sf.rel,
-                        line=node.lineno,
-                        symbol=symbols.get(node.lineno, ""),
-                        message=(
-                            f"'{var}' (a {kind}-fenced view) escapes into a "
-                            f"container via .{node.func.attr}(); the fence "
-                            "cannot protect it there"
-                        ),
                     )
+        # container-escape: .append(view) / .add / .put
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _CONTAINER_SINKS
+            and node.lineno > line
+            and any(_mentions(a, var) for a in node.args)
+        ):
+            findings.append(
+                Finding(
+                    checker=CHECKER,
+                    path=sf.rel,
+                    line=node.lineno,
+                    symbol=symbols.get(node.lineno, ""),
+                    message=(
+                        f"'{var}' (a {kind}-fenced view) escapes into a "
+                        f"container via .{node.func.attr}(); the fence "
+                        "cannot protect it there"
+                    ),
                 )
-            # use-after-fence
-            if (
-                first_fence is not None
-                and isinstance(node, ast.Name)
-                and node.id == var
-                and node.lineno > first_fence
-            ):
-                findings.append(
-                    Finding(
-                        checker=CHECKER,
-                        path=sf.rel,
-                        line=node.lineno,
-                        symbol=symbols.get(node.lineno, ""),
-                        message=(
-                            f"'{var}' used after its fence on line "
-                            f"{first_fence} ({_fence_name(kind)}); the "
-                            "memory may already be republished"
-                        ),
-                    )
+            )
+        # use-after-fence
+        if (
+            first_fence is not None
+            and isinstance(node, ast.Name)
+            and node.id == var
+            and node.lineno > first_fence
+        ):
+            findings.append(
+                Finding(
+                    checker=CHECKER,
+                    path=sf.rel,
+                    line=node.lineno,
+                    symbol=symbols.get(node.lineno, ""),
+                    message=(
+                        f"'{var}' used after its fence on line "
+                        f"{first_fence} ({_fence_name(kind)}); the "
+                        "memory may already be republished"
+                    ),
                 )
+            )
 
 
 def _mentions(node: ast.AST, var: str) -> bool:

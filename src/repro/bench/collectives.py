@@ -5,9 +5,8 @@ Two entry points over the real device stack (not netsim):
 ``run_collectives_bench`` — the committed ``BENCH_collectives.json``:
 for each (collective, size) cell it times the automatic selection
 (:mod:`repro.mpi.tuning`), the seed default (every collective pinned
-to its built-in algorithm *and* zero-copy window routing disabled —
-the full pre-change behaviour), and every manual algorithm, then
-reports how the auto pick compares to both.  Large-cell auto runs also report the devices'
+to its built-in algorithm), and every manual algorithm, then reports
+how the auto pick compares to both.  Large-cell auto runs also report the devices'
 :class:`~repro.buffer.pool.CopyStats` so the zero-copy claim for the
 collective datapath is checkable from the JSON alone.
 
@@ -109,9 +108,8 @@ def _make_op(comm, collective, nbytes):
 def _cell_worker(env, collective, nbytes, iters, trials, variants):
     """One rank of a timed cell; times every variant in this one job.
 
-    *variants* is ``[(name, pins, windows), ...]``.  Each variant gets
-    its own dup()ed communicator carrying its pins (and, for the seed
-    baseline, the window kill-switch), and the variants interleave
+    *variants* is ``[(name, pins), ...]``.  Each variant gets its own
+    dup()ed communicator carrying its pins, and the variants interleave
     trial-by-trial — every variant sees the same thread placement and
     the same phases of the job's lifetime, so variant-to-variant
     comparisons are tight instead of being dominated by between-job
@@ -121,15 +119,13 @@ def _cell_worker(env, collective, nbytes, iters, trials, variants):
 
     world = env.COMM_WORLD
     ops: dict[str, Any] = {}
-    for name, pins, windows in variants:
+    for name, pins in variants:
         comm = world.dup()
         for coll, algo in (pins or {}).items():
             comm.set_collective_algorithm(coll, algo)
-        if not windows:
-            comm._coll_windows = False  # pre-change packed datapath
         ops[name] = _make_op(comm, collective, nbytes)
 
-    for name, _pins, _windows in variants:
+    for name, _pins in variants:
         ops[name]()  # warmup (protocol setup, buffer pool, caches)
 
     copy_stats = env.device.engine.copy_stats
@@ -141,7 +137,7 @@ def _cell_worker(env, collective, nbytes, iters, trials, variants):
         # barrier pays any thread-rescheduling settle cost, and with a
         # fixed order that penalty lands on one variant systematically.
         shift = trial % len(variants)
-        for name, _pins, _windows in variants[shift:] + variants[:shift]:
+        for name, _pins in variants[shift:] + variants[:shift]:
             world.Barrier()
             copy_stats.reset()
             t0 = time.perf_counter()
@@ -157,7 +153,7 @@ def _cell_worker(env, collective, nbytes, iters, trials, variants):
                 best_copy[name] = snap
     return {
         name: {"time_s": best[name] / iters, "copy_stats": best_copy[name]}
-        for name, _pins, _windows in variants
+        for name, _pins in variants
     }
 
 
@@ -165,7 +161,7 @@ def measure_cell_variants(
     collective: str,
     nbytes: int,
     nprocs: int,
-    variants: list[tuple[str, Optional[dict[str, str]], bool]],
+    variants: list[tuple[str, Optional[dict[str, str]]]],
     device: str = "smdev",
     iters: int = 20,
     trials: int = 3,
@@ -188,7 +184,7 @@ def measure_cell_variants(
             args=(collective, nbytes, iters, trials, variants),
             timeout=300.0,
         )
-        for name, _pins, _windows in variants:
+        for name, _pins in variants:
             time_s = max(r[name]["time_s"] for r in results)
             copy: dict[str, int] = {}
             for r in results:
@@ -214,18 +210,13 @@ def measure_collective(
     iters: int = 20,
     trials: int = 3,
     rounds: int = 1,
-    windows: bool = True,
 ) -> dict[str, Any]:
-    """Time one collective configuration (single-variant convenience).
-
-    ``windows=False`` disables the zero-copy collective window path,
-    measuring the packed datapath the seed code used.
-    """
+    """Time one collective configuration (single-variant convenience)."""
     cells = measure_cell_variants(
         collective,
         nbytes,
         nprocs,
-        [("cell", pins, windows)],
+        [("cell", pins)],
         device=device,
         iters=iters,
         trials=trials,
@@ -276,13 +267,10 @@ def run_collectives_bench(
             "reported times are per-variant minima, comparison "
             "percentages are medians of round-paired ratios (pairing "
             "cancels machine-load drift between rounds).  auto = "
-            "decision-table selection on the "
-            "zero-copy window datapath; seed_default = every "
-            "collective pinned to its built-in default with window "
-            "routing disabled (the full pre-change behaviour: default "
-            "algorithms over the packed copy datapath); manual = one "
-            "algorithm pinned, windows on.  copy_stats cover the best "
-            "trial's timed window, all ranks summed"
+            "decision-table selection; seed_default = every "
+            "collective pinned to its built-in default; manual = one "
+            "algorithm pinned.  copy_stats cover the best trial's "
+            "timed window, all ranks summed"
         ),
         "device": device,
         "nprocs": nprocs,
@@ -299,15 +287,13 @@ def run_collectives_bench(
             # Every variant of a cell is timed inside the same jobs on
             # dup()ed communicators, interleaved trial-by-trial (see
             # _cell_worker), so variant comparisons share thread
-            # placement.  seed_default runs with window routing off:
-            # the pre-change code had neither the tuned selection nor
-            # the zero-copy collective datapath.
-            variants: list[tuple[str, Optional[dict[str, str]], bool]] = [
-                ("auto", None, True),
-                ("seed_default", seed, False),
+            # placement.
+            variants: list[tuple[str, Optional[dict[str, str]]]] = [
+                ("auto", None),
+                ("seed_default", seed),
             ]
             for algo in sorted(algorithms.REGISTRY[collective]):
-                variants.append((f"manual:{algo}", {**seed, collective: algo}, True))
+                variants.append((f"manual:{algo}", {**seed, collective: algo}))
             measured = measure_cell_variants(
                 collective,
                 nbytes,
@@ -325,7 +311,7 @@ def run_collectives_bench(
                 for name, cell in measured.items()
                 if name.startswith("manual:")
             }
-            manual_names = [n for n, _p, _w in variants if n.startswith("manual:")]
+            manual_names = [n for n, _p in variants if n.startswith("manual:")]
             # Comparison percentages are medians of ROUND-PAIRED
             # ratios: rounds are fresh jobs, and pairing within a
             # round cancels machine-load drift that min-vs-min would
@@ -399,7 +385,7 @@ def tune_collectives(
             # interleaved trials) so the winner reflects the algorithm,
             # not between-job scheduling luck.
             variants = [
-                (algo, {**seed, collective: algo}, True)
+                (algo, {**seed, collective: algo})
                 for algo in sorted(algorithms.REGISTRY[collective])
             ]
             measured = measure_cell_variants(

@@ -162,7 +162,9 @@ class BufferPool:
     def release(self, buf: Buffer) -> None:
         """Return *buf* to the pool (drops it if the bucket is full)."""
         buf.clear()
-        bucket = self._bucket_for(buf._static.capacity)
+        # Filed under its whole store's class, however small the last
+        # message it landed was.
+        bucket = self._bucket_for(buf._store.capacity)
         with self._lock:
             self._outstanding -= 1
             free = self._buckets.setdefault(bucket, [])

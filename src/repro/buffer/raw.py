@@ -34,10 +34,11 @@ class RawBuffer:
         """A RawBuffer that *aliases* ``data[start:start+length]``.
 
         Zero-copy adoption of an already-landed wire region: the new
-        buffer reads the shared memory directly (the in-place
-        rendezvous receive path).  The view keeps the backing object
-        alive.  A later write that outgrows the region migrates to a
-        private bytearray via :meth:`ensure`.
+        buffer reads the shared memory directly (every receive path
+        lands this way).  It is a read-only window by contract — the
+        owning :class:`~repro.buffer.Buffer` is committed while its
+        sections are views, and re-aims them at its own whole store
+        before it is written again, so a view is never grown.
         """
         rb = cls.__new__(cls)
         rb._data = memoryview(data)[start : start + length]
@@ -124,11 +125,11 @@ class RawBuffer:
     def landing_view(self, nbytes: int) -> memoryview:
         """Reset the buffer and expose its first *nbytes* for filling.
 
-        The in-place receive path: the transport lands wire bytes
-        directly in this storage (``recv_into`` or a gather copy), so
-        the posted buffer's own memory is the message's first and only
-        destination.  Growth here moves no payload (the buffer is
-        empty when it grows).
+        The receive path: the transport lands wire bytes directly in
+        this storage (``recv_into`` or a gather copy), so the posted
+        buffer's own memory is the message's first and only
+        destination.  A store that already holds *nbytes* is reused as
+        is; growth moves no payload (the buffer is empty when it grows).
         """
         self.clear()
         self.ensure(nbytes)

@@ -65,7 +65,9 @@ def dtype_for(section_type: SectionType) -> np.dtype:
     no fixed-width representation (objects are pickled).
     """
     try:
-        return _DTYPES[SectionType(section_type)]
+        # IntEnum members hash and compare as their int codes, so plain
+        # codes look up the same entries without an enum conversion.
+        return _DTYPES[section_type]
     except KeyError:
         raise ValueError(f"{section_type!r} has no primitive dtype") from None
 

@@ -9,11 +9,12 @@ Follows the guides' mpi4py conventions for the Python-facing API:
 * **Lowercase** methods (``send``, ``recv``, ``isend`` ...) move
   arbitrary pickled Python objects, mpi4py style.
 
-Every message is packed into an mpjbuf :class:`~repro.buffer.Buffer`
+A message is packed into an mpjbuf :class:`~repro.buffer.Buffer`
 (primitive data → static section; objects → dynamic section) and
 handed to mpjdev; receives unpack arrived buffers into the user array
 on the waiting thread.  Buffers come from the environment's pool and
-return to it when requests finish.
+return to it when requests finish.  Large contiguous arrays skip both
+copies: an array window *is* the Buffer (see :meth:`Comm._window`).
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ class Comm(AttributeMixin):
         self._pool = pool if pool is not None else DEFAULT_POOL
         self._env = env
         self._freed = False
-        # The zero-copy collective window path; bench/collectives.py
-        # clears this on its reference communicator to measure the
-        # packed (pre-window) datapath.
-        self._coll_windows = True
+        #: The device's protocol engine (None on devices without one),
+        #: looked up once: the window gate reads its eager threshold on
+        #: every send and receive.
+        self._engine = getattr(devcomm.device, "engine", None)
 
     # ------------------------------------------------------------------
     # identity
@@ -215,9 +216,9 @@ class Comm(AttributeMixin):
         )
 
     # ------------------------------------------------------------------
-    # zero-copy array windows (collective datapath)
+    # zero-copy array windows (the large-message datapath)
 
-    def _window_route(
+    def _window(
         self,
         buf: Any,
         offset: int,
@@ -226,28 +227,28 @@ class Comm(AttributeMixin):
         *,
         writable: bool,
     ):
-        """Gate for the zero-copy collective datapath.
+        """The one gate for the zero-copy datapath, pt2pt and collectives.
 
-        Returns ``(byte view, section type, base count, block count)``
-        when the transfer can alias user memory directly, or None to
+        Returns an :class:`ArraySendWindow` (or, if *writable*, an
+        :class:`ArrayRecvWindow`) aliasing the user's array, or None to
         use the packed path.  Windows are worth it only above the eager
-        threshold (eager sends on retaining transports stage a copy
-        anyway), and the gate must be *rank-consistent per message leg*:
+        threshold, and the gate is *rank-consistent per message leg*:
         both ends see the same count/datatype/threshold, so sender and
         receiver agree on eligibility except for per-rank buffer quirks
         (non-contiguous array, dtype mismatch) — and a window on one
         side interoperates with a packed buffer on the other, so even
         then nothing breaks, one side just copies.
         """
-        if not self._coll_windows:
-            return None
         if count <= 0 or not isinstance(buf, np.ndarray):
             return None
-        engine = getattr(self._devcomm.device, "engine", None)
+        engine = self._engine
         if engine is None:
             return None
         if datatype is None:
             datatype = datatype_for(buf)
+        # The size test first: it turns away every small message.
+        if SECTION_OVERHEAD + datatype.packed_size(count) <= engine.eager_threshold:
+            return None
         if datatype.base_dtype is None or datatype.extent != datatype.block_count:
             return None
         if isinstance(datatype, BasicType):
@@ -264,12 +265,6 @@ class Comm(AttributeMixin):
             return None
         base_np = np.dtype(datatype.base_dtype)
         base_count = count * datatype.block_count
-        if SECTION_OVERHEAD + base_count * base_np.itemsize <= engine.eager_threshold:
-            return None
-        if writable and not engine.transport.retains_segments:
-            # A non-retaining transport would stage the landing through
-            # scratch storage anyway; keep the packed path's pooling.
-            return None
         if not buf.flags.c_contiguous:
             return None
         if writable and not buf.flags.writeable:
@@ -287,51 +282,11 @@ class Comm(AttributeMixin):
             view = memoryview(flat[offset : offset + base_count]).cast("B")
         except (TypeError, ValueError, BufferError):
             return None
-        return view, basic.section_type, base_count, datatype.block_count
-
-    def _window_isend(
-        self,
-        buf: Any,
-        offset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        dest: int,
-        tag: int,
-        *,
-        context: int,
-    ) -> Optional[MPIRequest]:
-        """Zero-copy send of a large contiguous window, or None."""
-        route = self._window_route(buf, offset, count, datatype, writable=False)
-        if route is None:
-            return None
-        view, stype, base_count, _block = route
-        window = ArraySendWindow(view, stype, base_count)
-        inner = self._devcomm.isend(window, dest, tag, context)
-        return self._request(inner, lambda dev_status: MPIStatus(dev_status))
-
-    def _window_irecv(
-        self,
-        buf: Any,
-        offset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        source: int,
-        tag: int,
-        *,
-        context: int,
-    ) -> Optional[MPIRequest]:
-        """Zero-copy receive into a large contiguous window, or None."""
-        route = self._window_route(buf, offset, count, datatype, writable=True)
-        if route is None:
-            return None
-        view, stype, base_count, block = route
-        window = ArrayRecvWindow(view, stype, base_count, block)
-        inner = self._devcomm.irecv(window, source, tag, context)
-
-        def finish(dev_status: DevStatus) -> MPIStatus:
-            return MPIStatus(dev_status, count=window.landed_count // block)
-
-        return self._request(inner, finish)
+        if writable:
+            return ArrayRecvWindow(
+                view, basic.section_type, base_count, datatype.block_count
+            )
+        return ArraySendWindow(view, basic.section_type, base_count)
 
     # ------------------------------------------------------------------
     # uppercase point-to-point (array data, mpijava signatures)
@@ -348,12 +303,22 @@ class Comm(AttributeMixin):
         context: Optional[int] = None,
         mode: str = "standard",
     ) -> MPIRequest:
-        """Non-blocking standard-mode send."""
+        """Non-blocking standard-mode send.
+
+        Large contiguous arrays are sent from the user's memory (see
+        :meth:`_window`), except in buffered mode, which must snapshot
+        the data at call time.
+        """
         self._check_live()
         self._check_rank(dest)
         self._check_tag(tag)
-        message, datatype = self._pack(buf, offset, count, datatype)
         ctx = self._context_pt2pt if context is None else context
+        if mode != "buffered":
+            window = self._window(buf, offset, count, datatype, writable=False)
+            if window is not None:
+                inner = self._devcomm.isend(window, dest, tag, ctx, mode=mode)
+                return self._request(inner, MPIStatus)
+        message, datatype = self._pack(buf, offset, count, datatype)
         try:
             inner = self._devcomm.isend(message, dest, tag, ctx, mode=mode)
         except BaseException:
@@ -418,7 +383,12 @@ class Comm(AttributeMixin):
         *,
         context: Optional[int] = None,
     ) -> MPIRequest:
-        """Non-blocking receive; *source* may be ``ANY_SOURCE``."""
+        """Non-blocking receive; *source* may be ``ANY_SOURCE``.
+
+        Large contiguous arrays are received in place (see
+        :meth:`_window`): every device lands the payload straight in
+        the user's memory.
+        """
         self._check_live()
         self._check_rank(source, wildcard=True)
         self._check_tag(tag, wildcard=True)
@@ -427,6 +397,16 @@ class Comm(AttributeMixin):
                 raise MPIException("datatype may be omitted only for numpy arrays")
             datatype = datatype_for(buf)
         ctx = self._context_pt2pt if context is None else context
+        window = self._window(buf, offset, count, datatype, writable=True)
+        if window is not None:
+            inner = self._devcomm.irecv(window, source, tag, ctx)
+            block = datatype.block_count
+            return self._request(
+                inner,
+                lambda dev_status: MPIStatus(
+                    dev_status, count=window.landed_count // block
+                ),
+            )
         message = self._pool.acquire(datatype.packed_size(count) + _SLACK)
         try:
             inner = self._devcomm.irecv(message, source, tag, ctx)

@@ -228,22 +228,36 @@ class _IndexPatternType(Datatype):
             raise DatatypeError("derived datatype pattern has negative indices")
         self.extent = int(extent)
         self.block_count = int(self.pattern.size)
+        self._pattern_max = int(self.pattern.max())
 
     def _indices(self, offset: int, count: int) -> np.ndarray:
         starts = offset + np.arange(count, dtype=np.intp) * self.extent
         return (starts[:, None] + self.pattern[None, :]).reshape(-1)
 
+    def _out_of_bounds(self, flat: np.ndarray, offset: int, count: int) -> int | None:
+        """The highest base index *count* elements from *offset* reach,
+        if that span does not fit *flat*; None when it fits."""
+        last = offset + (count - 1) * self.extent + self._pattern_max
+        if count > 0 and (offset < 0 or last >= flat.size):
+            return last
+        return None
+
     def pack(self, buf: Buffer, data: Any, offset: int, count: int) -> None:
         flat = _flat(data, self.base_dtype)
-        idx = self._indices(offset, count)
-        if count > 0 and (idx.max() >= flat.size):
+        last = self._out_of_bounds(flat, offset, count)
+        if last is not None:
             raise DatatypeError(
-                f"pack pattern reaches index {int(idx.max())} beyond array "
-                f"of {flat.size}"
+                f"pack pattern from {offset} reaches index {last}, outside "
+                f"array of {flat.size}"
             )
-        # The gather: non-contiguous user data → one contiguous section
-        # (the paper's "copied to a contiguous area").
-        buf.write(flat[idx], self.basic.section_type)
+        dest = buf.write_section(self.basic.section_type, count * self.block_count)
+        if count > 0:
+            self._gather(flat, offset, count, dest)
+
+    def _gather(self, flat: np.ndarray, offset: int, count: int, dest: np.ndarray) -> None:
+        # Non-contiguous user data → one contiguous section (the
+        # paper's "copied to a contiguous area").
+        dest[:] = flat[self._indices(offset, count)]
 
     def unpack(self, buf: Buffer, data: Any, offset: int, count: int) -> int:
         hdr = buf.read_section_header()
@@ -263,15 +277,19 @@ class _IndexPatternType(Datatype):
                 f"message has {nelems} elements, receive posted {count}"
             )
         flat = _flat(data, self.base_dtype)
-        idx = self._indices(offset, nelems)
-        if nelems > 0 and idx.max() >= flat.size:
+        last = self._out_of_bounds(flat, offset, nelems)
+        if last is not None:
             raise CountMismatchError(
-                f"unpack pattern reaches index {int(idx.max())} beyond array "
-                f"of {flat.size}"
+                f"unpack pattern from {offset} reaches index {last}, outside "
+                f"array of {flat.size}"
             )
-        received = buf.read(hdr.count, self.base_dtype)
-        flat[idx] = received  # the scatter
+        received = buf.read_view(hdr.count, self.base_dtype)
+        if nelems > 0:
+            self._scatter(flat, offset, nelems, received)
         return nelems
+
+    def _scatter(self, flat: np.ndarray, offset: int, count: int, src: np.ndarray) -> None:
+        flat[self._indices(offset, count)] = src
 
 
 class ContiguousType(_IndexPatternType):
@@ -303,8 +321,37 @@ class VectorType(_IndexPatternType):
         starts = np.arange(count, dtype=np.intp) * stride
         pattern = (starts[:, None] + block[None, :]).reshape(-1)
         extent = (count - 1) * stride + blocklength
+        # Over a basic type the selection is a regular 3-D grid (element,
+        # block, item), so it packs as one strided view copy; over a
+        # derived type the composed pattern is irregular and keeps the
+        # index gather.
+        self._strided = isinstance(base, BasicType)
         super().__init__(base, pattern, extent=extent)
         self.count, self.blocklength, self.stride = count, blocklength, stride
+
+    def _grid(self, flat: np.ndarray, offset: int, count: int) -> np.ndarray:
+        """*count* elements from *offset* as a strided view of *flat*
+        (the caller has bounds-checked the span)."""
+        step = flat.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            flat[offset:],
+            shape=(count, self.count, self.blocklength),
+            strides=(self.extent * step, self.stride * step, step),
+        )
+
+    def _gather(self, flat: np.ndarray, offset: int, count: int, dest: np.ndarray) -> None:
+        if not self._strided:
+            return super()._gather(flat, offset, count, dest)
+        # One strided copy straight from the user array into the buffer:
+        # no index array, no temporary.
+        grid = self._grid(flat, offset, count)
+        np.copyto(dest.reshape(grid.shape), grid)
+
+    def _scatter(self, flat: np.ndarray, offset: int, count: int, src: np.ndarray) -> None:
+        if not self._strided:
+            return super()._scatter(flat, offset, count, src)
+        grid = self._grid(flat, offset, count)
+        grid[...] = src.reshape(grid.shape)
 
     def __repr__(self) -> str:
         return (

@@ -257,22 +257,12 @@ class Intracomm(Comm):
         self._coll_isend(buf, offset, count, datatype, dest, tag).wait()
 
     def _coll_isend(self, buf, offset, count, datatype, dest, tag):
-        req = self._window_isend(
-            buf, offset, count, datatype, dest, tag, context=self._context_coll
-        )
-        if req is not None:
-            return req
         return self.Isend(buf, offset, count, datatype, dest, tag, context=self._context_coll)
 
     def _coll_recv(self, buf, offset, count, datatype, src, tag) -> MPIStatus:
         return self._coll_irecv(buf, offset, count, datatype, src, tag).wait()
 
     def _coll_irecv(self, buf, offset, count, datatype, src, tag):
-        req = self._window_irecv(
-            buf, offset, count, datatype, src, tag, context=self._context_coll
-        )
-        if req is not None:
-            return req
         return self.Irecv(buf, offset, count, datatype, src, tag, context=self._context_coll)
 
     @staticmethod

@@ -419,9 +419,9 @@ class _ReadState:
 
     Bytes are ``recv_into``'d directly at their destination: a small
     reusable scratch for handshakes and headers, the posted receive
-    buffer's own storage for rendezvous payloads (the in-place
-    landing), or pooled device scratch for eager payloads — never an
-    accumulate-then-copy ``bytearray``.
+    buffer's own memory for rendezvous payloads (the in-place landing,
+    a scatter list filled view by view), or pooled device scratch for
+    eager payloads — never an accumulate-then-copy ``bytearray``.
     """
 
     sock: socket.socket
@@ -434,6 +434,8 @@ class _ReadState:
     scratch: bytearray = field(default_factory=lambda: bytearray(HEADER_SIZE))
     #: Destination of the current unit's bytes (len == needed).
     view: memoryview | None = None
+    #: Landing views still to fill after ``view``, in order.
+    rest: list[memoryview] = field(default_factory=list)
     #: Pooled scratch backing ``view`` (ownership passes to the engine).
     owned: bytearray | None = None
     #: True when ``view`` is the posted buffer's own storage.
@@ -762,7 +764,9 @@ class NIOTransport(Transport):
                 return
             state.filled += n
             budget -= n
-            if state.filled < state.needed:
+            if state.filled < state.needed or state.rest:
+                if state.filled == state.needed:
+                    self._aim(state, state.rest)  # next landing view
                 # Partial unit: state stays attached to the key and
                 # reading resumes on the next readiness event (paper
                 # Fig. 8's selection-key attachment).
@@ -778,11 +782,17 @@ class NIOTransport(Transport):
 
     def _begin_unit(self, state: _ReadState, phase: str, needed: int) -> None:
         state.phase = phase
-        state.needed = needed
-        state.filled = 0
-        state.view = memoryview(state.scratch)[:needed]
+        self._aim(state, [memoryview(state.scratch)[:needed]])
         state.owned = None
         state.in_place = False
+
+    @staticmethod
+    def _aim(state: _ReadState, views: list[memoryview]) -> None:
+        """Read into ``views[0]`` next; the others follow in order."""
+        state.view = views[0]
+        state.rest = views[1:]
+        state.needed = len(state.view)
+        state.filled = 0
 
     def _lookup_peer(self, uid: int) -> ProcessID:
         with self._peers_lock:
@@ -827,8 +837,6 @@ class NIOTransport(Transport):
                 return True
             state.header = header
             state.phase = "payload"
-            state.needed = plen
-            state.filled = 0
             landing = (
                 engine.rendezvous_landing(header.recv_id, plen)
                 if header.type == FrameType.RNDZ_DATA
@@ -836,9 +844,9 @@ class NIOTransport(Transport):
             )
             if landing is not None:
                 # In-place rendezvous receive: the wire bytes land in
-                # the posted buffer's own storage, their one and only
+                # the posted buffer's own memory, their one and only
                 # destination in this process.
-                state.view = landing
+                self._aim(state, landing)
                 state.owned = None
                 state.in_place = True
             else:
@@ -846,7 +854,7 @@ class NIOTransport(Transport):
                 # size-classed pooled scratch; ownership passes to the
                 # engine at dispatch.
                 state.owned = engine.raw_pool.acquire(plen)
-                state.view = memoryview(state.owned)[:plen]
+                self._aim(state, [memoryview(state.owned)[:plen]])
                 state.in_place = False
         else:  # payload complete
             self._dispatch(state)

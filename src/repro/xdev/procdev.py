@@ -60,6 +60,7 @@ import threading
 import time
 from collections import deque
 
+from repro.buffer.buffer import copy_segments
 from repro.shm.arena import SegmentArena
 from repro.shm.bootstrap import ShmBootstrap, new_job_id
 from repro.shm.ring import (
@@ -369,10 +370,9 @@ class ProcTransport(Transport):
                 landing = engine.rendezvous_landing(header.recv_id, length)
                 if landing is not None:
                     # Cross-process zero-copy landing: the mapped spill
-                    # pages gather straight into the posted buffer's
-                    # own storage.
-                    landing[:length] = data
-                    engine.copy_stats.moved(length)
+                    # pages scatter straight into the posted buffer's
+                    # own memory.
+                    engine.copy_stats.moved(copy_segments(landing, [data]))
                     engine.handle_frame(src_pid, header, in_place=True)
                     self.counters["landings_in_place"] += 1
                 else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import queue
 import threading
 
+from repro.buffer.buffer import copy_segments
 from repro.xdev.base import ProtocolDevice
 from repro.xdev.device import DeviceConfig, register_device
 from repro.xdev.endpoints import endpoint_count
@@ -157,13 +158,8 @@ class SMTransport(Transport):
             landing = engine.rendezvous_landing(header.recv_id, total)
             if landing is not None:
                 # In-place rendezvous receive: gather the sender's live
-                # segments straight into the posted buffer's storage.
-                offset = 0
-                for seg in payload:
-                    view = memoryview(seg).cast("B")
-                    landing[offset : offset + len(view)] = view
-                    offset += len(view)
-                engine.copy_stats.moved(offset)
+                # segments straight into the posted buffer's memory.
+                engine.copy_stats.moved(copy_segments(landing, payload))
                 engine.handle_frame(src_pid, header, in_place=True)
                 return
         engine.handle_frame(src_pid, header, payload)

@@ -81,6 +81,17 @@ class TestSegmentEscape:
     def test_windowed_use_passes(self):
         assert run_one("segment-escape", load("segescape_clean")) == []
 
+    def test_flags_landing_list_elements_kept_past_the_fence(self):
+        findings = run_one("segment-escape", load("segescape_landing_bad"))
+        by_symbol = {f.symbol: f.message for f in findings}
+        assert "'head' used after its fence" in by_symbol[
+            "Lander.header_used_after_finish"
+        ]
+        assert "'view'" in by_symbol["Lander.element_stashed_in_container"]
+
+    def test_landing_list_filled_inside_the_window_passes(self):
+        assert run_one("segment-escape", load("segescape_landing_clean")) == []
+
 
 class TestPoolBalance:
     def test_flags_unprotected_and_dropped_acquires(self):

@@ -41,6 +41,21 @@ def test_vector_roundtrip_identity_on_selection(params):
     assert not dest[mask].any(), "unpack wrote outside the selection"
 
 
+@given(vectors)
+@settings(max_examples=80, deadline=None)
+def test_vector_strided_pack_matches_the_index_gather(params):
+    # The index-pattern gather is the reference for the strided copy;
+    # the input is itself strided and exactly as long as the span.
+    blocks, blocklength, stride, offset, count = params
+    dt = mpi.DOUBLE.vector(blocks, blocklength, stride)
+    needed = offset + count * dt.get_extent()
+    src = np.random.default_rng(7).random(2 * needed)[::2]
+    buf = Buffer()
+    dt.pack(buf, src, offset, count)
+    buf.commit()
+    np.testing.assert_array_equal(buf.read_section(), src[dt._indices(offset, count)])
+
+
 indexed = st.lists(
     st.tuples(st.integers(1, 3), st.integers(0, 12)), min_size=1, max_size=4
 )
