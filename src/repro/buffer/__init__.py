@@ -35,7 +35,12 @@ from repro.buffer.types import (
     section_type_for_dtype,
 )
 from repro.buffer.raw import RawBuffer
-from repro.buffer.buffer import Buffer, BufferFormatError, SectionHeader
+from repro.buffer.buffer import (
+    Buffer,
+    BufferFormatError,
+    ReceiveMismatchError,
+    SectionHeader,
+)
 from repro.buffer.pool import BufferPool
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "BufferFormatError",
     "BufferPool",
     "RawBuffer",
+    "ReceiveMismatchError",
     "SectionHeader",
     "SectionType",
     "dtype_for",

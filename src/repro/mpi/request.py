@@ -15,14 +15,18 @@ primitives in the usual MPI shapes.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
-from repro.mpi.exceptions import MPIException
+from repro.buffer import ReceiveMismatchError
+from repro.mpi.exceptions import CountMismatchError, DatatypeError, MPIException
 from repro.mpi.status import MPIStatus
 from repro.mpjdev.comm import RankRequest
 from repro.mpjdev.request import RequestFailedError
 from repro.mpjdev.request import Status as DevStatus
 from repro.mpjdev.waitany import waitany as dev_waitany
+
+#: MPI error for each :class:`ReceiveMismatchError` kind.
+_MISMATCH_ERRORS = {"count": CountMismatchError, "type": DatatypeError}
 
 
 class MPIRequest:
@@ -75,22 +79,34 @@ class MPIRequest:
             cleanup, self._cleanup = self._cleanup, None
         cleanup()
 
+    def _failed(self, exc: RequestFailedError) -> NoReturn:
+        """Clean up a failed request and raise what the caller sees.
+
+        A message the posted receive window rejected raises the same
+        :class:`CountMismatchError` or :class:`DatatypeError` as the
+        packed path's unpack, whatever the message size; every other
+        failure re-raises *exc*.
+        """
+        self._on_failure()
+        cause = exc.__cause__
+        if isinstance(cause, ReceiveMismatchError):
+            raise _MISMATCH_ERRORS[cause.kind](str(cause)) from cause
+        raise exc
+
     def wait(self, timeout: Optional[float] = None) -> MPIStatus:
         """Block until complete; returns the MPI status."""
         try:
             dev_status = self.inner.wait(timeout=timeout)
-        except RequestFailedError:
-            self._on_failure()
-            raise
+        except RequestFailedError as exc:
+            self._failed(exc)
         return self._finish(dev_status)
 
     def test(self) -> Optional[MPIStatus]:
         """Non-blocking completion check."""
         try:
             dev_status = self.inner.test()
-        except RequestFailedError:
-            self._on_failure()
-            raise
+        except RequestFailedError as exc:
+            self._failed(exc)
         return self._finish(dev_status) if dev_status is not None else None
 
     # mpijava spellings
