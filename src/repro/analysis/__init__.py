@@ -11,7 +11,7 @@ AST:
     ``with``/``acquire()`` nesting against the canonical hierarchy in
     :mod:`repro.xdev.locknames` (the watchdog's lock-graph vocabulary).
 ``no-block-in-poller``
-    nothing reachable from a procdev poller or smdev input-handler
+    nothing reachable from a procdev poller or niodev input-handler
     entry point may call an unbounded blocking primitive.
 ``segment-escape``
     views from ``Buffer.segments()`` / ``begin_landing`` /

@@ -1,8 +1,9 @@
 """no-block-in-poller: poller/input-handler threads must never block.
 
 PR 6's two-poller deadlock proof rests on one rule: the procdev
-progress poller and the smdev input handler only ever *try* — a full
-outbound ring defers, it never waits.  This checker makes the rule
+progress poller and the niodev input handler only ever *try* — a full
+outbound ring defers, it never waits.  (smdev has no such thread: it
+delivers on the writer's thread.)  This checker makes the rule
 structural:
 
 1. find thread entry points — ``threading.Thread(target=..., name=...)``
@@ -15,8 +16,8 @@ structural:
    the classified hierarchy, blocking socket ops, and untimed queue
    ``get``.
 
-Designed-blocking sites (the bounded doorbell in ``Backoff.wait``, a
-handler blocking on its *own* inbox) carry inline
+Designed-blocking sites (the bounded doorbell in ``Backoff.wait``, the
+bounded dial retry) carry inline
 ``# reprolint: allow[no-block-in-poller] -- why`` waivers; an allow on
 a *call site* line prunes that edge, so the deliberate
 ``fork_rendezvous_writer=False`` ablation can be waived at the inline

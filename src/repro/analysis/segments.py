@@ -4,7 +4,8 @@ The zero-copy datapath hands out *live views* of memory it does not
 own indefinitely:
 
 * ``Buffer.segments()`` — views of the user's message memory, valid
-  only until the delivery fence fires (``Transport.retains_segments``);
+  only until ``Transport.write`` returns, or until its delivery fence
+  fires when the write carries one;
 * ``begin_landing`` / ``rendezvous_landing`` — an in-place landing
   window, closed by ``finish_landing`` / ``release``.  These return a
   scatter *list* of views, so every element taken from the list

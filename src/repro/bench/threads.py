@@ -9,12 +9,12 @@ committed ``BENCH_threads.json`` at the repo root is one such run.
 
 Each worker pair owns a tag chosen so its ``route_of(context, tag)``
 content hash lands on its own shard: with sharding on, a pair's
-traffic touches only its own smdev inbox (own input-handler thread)
-and matching shard, so pairs never contend.  With ``endpoints=1`` the
-same workload funnels every pair through one inbox and one matching
-lock — the seed's serialization point that the paper's coarse-grained
-locking implies.  (smdev's write is one atomic ``queue.put`` and takes
-no lock on either side, so there is no write-lock column.)
+traffic touches only its own matching shard, so pairs never contend.
+With ``endpoints=1`` the same workload funnels every pair through one
+matching lock — the seed's serialization point that the paper's
+coarse-grained locking implies.  (smdev's write delivers on the
+writing thread and takes no lock of its own, so there is no
+write-lock column.)
 
 Methodology (the PR 4 bench discipline):
 
@@ -301,7 +301,7 @@ def run_threads_bench(
             "interpreter work per message, so aggregate throughput ratios "
             "sit near 1.0 regardless of lock granularity; the sharding win "
             "visible here is the futile-probe-wakeup column (zero sharded), "
-            "and inbox/matching sharding translates to throughput only on "
+            "and matching sharding translates to throughput only on "
             "multicore hosts"
         ),
         "modes": modes,

@@ -14,18 +14,19 @@ Two pools live here:
 * :class:`BufferPool` — whole :class:`~repro.buffer.Buffer` objects,
   used by the MPI layer for packed messages;
 * :class:`RawPool` — plain ``bytearray`` scratch storage, used by the
-  devices for eager staging and receive scratch.
+  devices for receive scratch and unexpected-message storage.
 
 Both are size-classed by powers of two (a request is served by storage
 at most 2x larger than asked for), both are thread-safe (any user
-thread may acquire; the input-handler thread releases on message
+thread may acquire; the delivering thread releases on message
 completion), and both track *outstanding* acquisitions so device
 shutdown and ``MPI.Finalize`` can warn about leaked buffers.
 
 :class:`CopyStats` is the measurement companion: every payload byte
 that moves through the datapath is attributed either to ``bytes_moved``
 (placed directly in its final destination — the posted receive buffer,
-the kernel socket buffer, a peer's inbox) or to ``bytes_copied``
+the kernel socket buffer, an in-process peer by reference) or to
+``bytes_copied``
 (staged through temporary storage first).  A zero-copy path is one
 whose transfers appear only under ``bytes_moved``; see
 ``docs/performance.md`` for the full accounting convention.
@@ -49,7 +50,7 @@ class CopyStats:
     ``bytes_moved``/``moves``
         Payload bytes placed directly where they were going anyway:
         gathered into the posted receive's own storage, handed to
-        ``sendmsg``, or enqueued by reference to a peer's inbox.
+        ``sendmsg``, or handed by reference to an in-process peer.
     ``pool_hits``/``pool_misses``
         Pool acquisitions served from a free list vs. freshly
         allocated.

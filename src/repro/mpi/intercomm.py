@@ -104,13 +104,6 @@ class Intercomm(Comm):
         my_pid = local_comm.group().pid(rank)
         local_group = Group(local_pids, my_uid=my_pid.uid)
         remote_group = Group(remote_pids, my_uid=my_pid.uid)
-        # The remote pids carry listen addresses the bootstrap never
-        # announced here; teach the transport so lazy dials can reach
-        # them.  Address-table growth only — nothing connects until
-        # intercomm traffic actually flows.
-        extend = getattr(local_comm._devcomm.device, "extend_peers", None)
-        if extend is not None:
-            extend(remote_pids)
         remote_devcomm = MPJDevComm(
             local_comm._devcomm.device, remote_pids, MPJDevComm.NOT_A_MEMBER
         )

@@ -1,7 +1,7 @@
 """Request and Status — completion objects shared by every layer.
 
 A :class:`Request` is created pending and flipped to complete exactly
-once by the device (usually from the input-handler thread) while user
+once by the device (from whichever thread delivers the frame) while user
 threads block in :meth:`Request.wait` or poll :meth:`Request.test`.
 Completion must therefore be thread-safe and must also feed two side
 channels the paper relies on:

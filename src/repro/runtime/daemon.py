@@ -46,9 +46,6 @@ class _Job:
     job_id: str
     workers: list[_WorkerProc] = field(default_factory=list)
     scratch: Optional[Path] = None
-    #: The start request's worker config, kept so ``grow`` can spawn
-    #: additional ranks into the running job later.
-    base_config: dict = field(default_factory=dict)
 
 
 class Daemon:
@@ -117,8 +114,6 @@ class Daemon:
             return {"ok": True, "jobs": njobs, "port": self.port}
         if cmd == "start":
             return self._start_job(req)
-        if cmd == "grow":
-            return self._grow_job(req)
         if cmd == "poll":
             return self._poll_job(req)
         if cmd == "stop":
@@ -148,14 +143,12 @@ class Daemon:
             base_config["module_path"] = req["module_path"]
 
         self._spawn_workers(job, base_config, ranks)
-        job.base_config = base_config
 
         with self._lock:
             self._jobs[job_id] = job
         return {"ok": True, "job_id": job_id, "pids": [w.process.pid for w in job.workers]}
 
-    def _spawn_workers(self, job: _Job, base_config: dict, ranks: list) -> list:
-        spawned = []
+    def _spawn_workers(self, job: _Job, base_config: dict, ranks: list) -> None:
         for rank in ranks:
             config = dict(base_config, rank=rank)
             config_path = job.scratch / f"rank{rank}.json"
@@ -171,44 +164,6 @@ class Daemon:
             )
             worker = _WorkerProc(rank, process, stdout_path, stderr_path)
             job.workers.append(worker)
-            spawned.append(worker)
-        return spawned
-
-    def _grow_job(self, req: dict) -> dict:
-        """Dynamic join: spawn additional ranks into a running job.
-
-        The request carries the new ranks plus (optionally) the
-        expanded job-wide ``nprocs``/``peers`` table.  Only the *new*
-        workers are launched with the expanded table; the established
-        ranks keep running untouched — lazy connections mean they never
-        held sockets to the newcomers anyway, and they learn the new
-        addresses through ``extend_peers`` when intercommunicator
-        traffic first reaches them.  Growth is an address-table event,
-        not a reconnection event.
-        """
-        job_id = req["job_id"]
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            return {"ok": False, "error": f"unknown job {job_id!r}"}
-        if not job.base_config:
-            return {"ok": False, "error": f"job {job_id!r} has no stored config"}
-        ranks = req["ranks"]
-        clash = sorted(set(ranks) & {w.rank for w in job.workers})
-        if clash:
-            return {"ok": False, "error": f"ranks {clash} already running"}
-        config = dict(job.base_config)
-        for key in ("nprocs", "peers"):
-            if key in req:
-                config[key] = req[key]
-        job.base_config = config
-        spawned = self._spawn_workers(job, config, ranks)
-        return {
-            "ok": True,
-            "job_id": job_id,
-            "ranks": [w.rank for w in spawned],
-            "pids": [w.process.pid for w in spawned],
-        }
 
     def _poll_job(self, req: dict) -> dict:
         job_id = req["job_id"]

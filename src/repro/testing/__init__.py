@@ -6,9 +6,9 @@ Three cooperating pieces:
 * :mod:`repro.testing.chaos` — ``chaosdev``, a wrapper Device that
   injects seeded, deterministic frame-level faults (delays, safe
   reordering, duplicated RTS/RTR, truncated payloads);
-* :mod:`repro.testing.scheduler` — a seeded interleaving scheduler
-  for smdev's per-rank frame queues, replaying delivery choices from
-  a PRNG seed;
+* :mod:`repro.testing.scheduler` — a seeded interleaving scheduler,
+  a transport decorator that replays smdev delivery choices from a
+  PRNG seed;
 * :mod:`repro.testing.watchdog` — lock-order cycle detection over the
   engine's locks plus a stuck-progress watchdog with trace-integrated
   stall reports.
@@ -27,8 +27,8 @@ from repro.testing.chaos import (
 )
 from repro.testing.scheduler import (
     ScheduledInbox,
+    ScheduledTransport,
     SeededSchedule,
-    make_scheduled_fabric,
 )
 from repro.testing.sync import wait_until
 from repro.testing.watchdog import (
@@ -47,8 +47,8 @@ __all__ = [
     "SEED_ENV_VAR",
     "seed_from_env",
     "ScheduledInbox",
+    "ScheduledTransport",
     "SeededSchedule",
-    "make_scheduled_fabric",
     "wait_until",
     "InstrumentedLock",
     "LockGraph",

@@ -156,12 +156,26 @@ _DUPLICABLE = frozenset({FrameType.RTS, FrameType.RTR})
 _TRUNCATABLE = frozenset({FrameType.EAGER, FrameType.RNDZ_DATA})
 
 
-class ChaosTransport(Transport):
-    """Transport decorator injecting the :class:`ChaosConfig` plan."""
+def kept_frame(segments, on_delivered) -> list:
+    """The segments a decorator may keep past ``write``.
 
-    #: Held-back and duplicated frames outlive write(), so chaos always
-    #: retains segments regardless of what the inner transport does.
-    retains_segments = True
+    ``write`` consumes its segments before it returns, so a frame kept
+    for later delivery is copied — unless the write carries a fence,
+    which keeps the caller's memory valid until it fires (rendezvous
+    data stays zero-copy).
+    """
+    if on_delivered is not None:
+        return segments
+    return [s if isinstance(s, bytes) else bytes(s) for s in segments]
+
+
+class ChaosTransport(Transport):
+    """Transport decorator injecting the :class:`ChaosConfig` plan.
+
+    A held-back frame outlives ``write``, so it is kept as
+    :func:`kept_frame`; duplicates are written before ``write``
+    returns and need no copy.
+    """
 
     def __init__(self, inner: Transport, config: ChaosConfig) -> None:
         self.inner = inner
@@ -245,9 +259,6 @@ class ChaosTransport(Transport):
         self._engine = engine
         self.inner.start(engine)
 
-    def extend_peers(self, pids) -> int:
-        return self.inner.extend_peers(pids)
-
     def _release(self, held: _HeldFrame) -> None:
         """Deliver a held frame.  Like every inner write here it takes
         no lock of chaos's own: ``inner.write`` is thread-safe and
@@ -312,8 +323,8 @@ class ChaosTransport(Transport):
             elif hold and not self._closed:
                 self._generation += 1
                 held_entry = _HeldFrame(
-                    dest, segments, match_key, self._generation, on_delivered,
-                    route,
+                    dest, kept_frame(segments, on_delivered), match_key,
+                    self._generation, on_delivered, route,
                 )
                 self._held[dest.uid] = held_entry
 

@@ -18,7 +18,7 @@ Fixtures:
 
 ``seeded_schedule``
     A :class:`~repro.testing.scheduler.SeededSchedule` plus a factory
-    for smdev jobs whose inboxes replay it.
+    for smdev jobs whose deliveries replay it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from typing import Optional
 import pytest
 
 from repro.testing.chaos import ChaosConfig, seed_from_env
-from repro.testing.scheduler import SeededSchedule, make_scheduled_fabric
+from repro.testing.scheduler import (
+    ScheduledInbox,
+    ScheduledTransport,
+    SeededSchedule,
+)
 from repro.testing.watchdog import LockGraph, instrument_engine
 from repro.xdev.device import DeviceConfig, new_instance
 from repro.xdev.smdev import SMFabric
@@ -45,8 +49,8 @@ def make_chaos_job(
 ):
     """Stand up *nprocs* chaosdev-wrapped smdev ranks on one fabric.
 
-    *endpoints* overrides the ``REPRO_ENDPOINTS`` inbox/shard count so
-    a test can pin the sharding degree without env juggling.
+    *endpoints* overrides the ``REPRO_ENDPOINTS`` shard count so a
+    test can pin the sharding degree without env juggling.
     """
     cfg = config if config is not None else ChaosConfig.torture(seed)
     fabric = SMFabric(nprocs, endpoints=endpoints)
@@ -69,14 +73,20 @@ def make_scheduled_job(
     gather_window_s: float = 0.001,
     endpoints: Optional[int] = None,
 ):
-    """Stand up *nprocs* smdev ranks over a schedule-replaying fabric."""
-    fabric, _ = make_scheduled_fabric(
-        nprocs,
-        schedule.seed,
-        schedule=schedule,
-        gather_window_s=gather_window_s,
-        endpoints=endpoints,
-    )
+    """Stand up *nprocs* smdev ranks whose deliveries replay *schedule*.
+
+    *endpoints* overrides the ``REPRO_ENDPOINTS`` shard count, which
+    is also the number of scheduled inboxes (and delivery threads) per
+    rank.
+    """
+    fabric = SMFabric(nprocs, endpoints=endpoints)
+    inboxes = [
+        [
+            ScheduledInbox(schedule, rank, gather_window_s, endpoint=ep)
+            for ep in range(fabric.endpoints)
+        ]
+        for rank in range(nprocs)
+    ]
     devices = []
     for rank in range(nprocs):
         dev = new_instance("smdev")
@@ -84,6 +94,10 @@ def make_scheduled_job(
             DeviceConfig(
                 rank=rank, nprocs=nprocs, fabric=fabric, options=dict(options or {})
             )
+        )
+        engine = dev.engine
+        engine.transport = ScheduledTransport(
+            engine.transport, fabric, rank, inboxes
         )
         devices.append(dev)
     return devices, fabric.pids

@@ -1,14 +1,15 @@
-"""Seeded interleaving scheduler for smdev's per-rank frame queues.
+"""Seeded interleaving scheduler: a transport decorator for smdev jobs.
 
-smdev delivers frames in exact arrival order, which means a test run
-exercises exactly one interleaving — whichever one the OS scheduler
-happened to produce.  :func:`make_scheduled_fabric` builds an
-:class:`~repro.xdev.smdev.SMFabric` whose inboxes are
-:class:`ScheduledInbox` objects: each ``get()`` picks the next frame
-to deliver with a PRNG seeded by the test, permuting delivery across
-independent streams while preserving MPI's per-stream FIFO guarantee
-(frames from one source with one ``(context, tag)`` key are never
-reordered against each other).
+smdev delivers every frame on the writing thread, in program order,
+which means a test run exercises exactly one interleaving — whichever
+one the OS scheduler happened to produce.  :class:`ScheduledTransport`
+wraps each rank's transport: ``write`` parks the frame in the
+destination's :class:`ScheduledInbox` for its route, and one delivery
+thread per ``(rank, endpoint)`` picks the next frame to deliver with a
+PRNG seeded by the test, permuting delivery across independent
+streams while preserving MPI's per-stream FIFO guarantee (frames from
+one source with one ``(context, tag)`` key are never reordered against
+each other).  The delivery threads exist only in scheduled jobs.
 
 Every choice is recorded in the shared :class:`SeededSchedule`; a
 failing test prints its seed, and re-running with that seed replays
@@ -17,12 +18,17 @@ the same sequence of scheduler choices.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
 from typing import Any, Optional
 
+from repro.testing.chaos import kept_frame
+from repro.xdev.exceptions import XDevException
 from repro.xdev.frames import FrameHeader, FrameType
+from repro.xdev.processid import ProcessID
+from repro.xdev.protocol import Transport
 from repro.xdev.smdev import SMFabric
 
 
@@ -51,15 +57,15 @@ class SeededSchedule:
 
 
 class ScheduledInbox:
-    """A drop-in replacement for smdev's ``queue.Queue`` inboxes.
+    """One ``(rank, endpoint)`` queue of frames awaiting delivery.
 
-    Buffers enqueued frames and, on every ``get()``, delivers one
-    chosen by the :class:`SeededSchedule` among the *eligible heads*:
-    for matching-ordered frames (EAGER/RTS) only the earliest frame of
-    each ``(src, context, tag)`` stream is a candidate; id-addressed
-    frames (RTR/RNDZ_DATA) and BYE are always candidates.  Control
-    items (the transport's shutdown sentinel) are delivered only once
-    the buffer is empty, so no frame is lost at teardown.
+    Buffers ``(src_pid, segments, deliver)`` frames and, on every
+    ``get()``, returns one chosen by the :class:`SeededSchedule` among
+    the *eligible heads*: for matching-ordered frames (EAGER/RTS) only
+    the earliest frame of each ``(src, context, tag)`` stream is a
+    candidate; id-addressed frames (RTR/RNDZ_DATA) and BYE are always
+    candidates.  Control items (the shutdown sentinel) are delivered
+    only once the buffer is empty, so no frame is lost at teardown.
     """
 
     def __init__(
@@ -82,13 +88,11 @@ class ScheduledInbox:
 
     @staticmethod
     def _stream_key(item: Any) -> Optional[tuple]:
-        src_pid, segments, _fence = item
+        src_pid, segments, _deliver = item
         header = FrameHeader.decode(segments[0])
         if header.type in (FrameType.EAGER, FrameType.RTS):
             return (src_pid.uid, header.context, header.tag)
         return None
-
-    # queue.Queue-compatible surface used by SMTransport ---------------
 
     def put(self, item: Any) -> None:
         with self._cond:
@@ -123,36 +127,82 @@ class ScheduledInbox:
             item, _key = self._frames.pop(eligible[choice])
             return item
 
-    def qsize(self) -> int:
-        with self._lock:
-            return len(self._frames) + len(self._controls)
 
+class ScheduledTransport(Transport):
+    """Transport decorator delivering frames in a seeded order.
 
-def make_scheduled_fabric(
-    nprocs: int,
-    seed: int,
-    schedule: Optional[SeededSchedule] = None,
-    gather_window_s: float = 0.001,
-    endpoints: Optional[int] = None,
-) -> tuple[SMFabric, SeededSchedule]:
-    """An SMFabric whose inboxes replay the seeded schedule.
-
-    The fabric keeps smdev's per-endpoint inbox grid (the
-    ``REPRO_ENDPOINTS`` knob, or *endpoints* explicitly): every
-    endpoint inbox of every rank is a :class:`ScheduledInbox` drawing
-    from the one shared :class:`SeededSchedule`, so interleavings are
-    schedulable — and replayable — across endpoints, not just ranks.
+    ``write`` parks the frame on the destination's ``route %
+    endpoints`` inbox of the shared grid and returns; the frame
+    outlives ``write``, so it is kept as :func:`kept_frame` (fenced
+    rendezvous data by reference, everything else copied).  This
+    rank's delivery threads — one per endpoint inbox — hand each frame
+    they pop to its sender's inner ``write``, which delivers it and
+    fires its fence.
     """
-    if schedule is None:
-        schedule = SeededSchedule(seed)
-    fabric = SMFabric(nprocs, endpoints=endpoints)
-    fabric.inboxes = [
-        [
-            ScheduledInbox(
-                schedule, rank, gather_window_s=gather_window_s, endpoint=ep
+
+    _STOP = object()
+
+    def __init__(
+        self,
+        inner: Transport,
+        fabric: SMFabric,
+        rank: int,
+        inboxes: list[list[ScheduledInbox]],
+    ) -> None:
+        self.inner = inner
+        self._fabric = fabric
+        self._pid = fabric.pids[rank]
+        self._inboxes = inboxes
+        self._own = inboxes[rank]
+        self._closed = False
+        self._threads = [
+            threading.Thread(
+                target=self._deliver_loop,
+                args=(inbox,),
+                name=f"scheduled-delivery-{rank}.{ep}",
+                daemon=True,
             )
-            for ep in range(fabric.endpoints)
+            for ep, inbox in enumerate(self._own)
         ]
-        for rank in range(nprocs)
-    ]
-    return fabric, schedule
+        for thread in self._threads:
+            thread.start()
+
+    def start(self, engine) -> None:
+        self.inner.start(engine)
+
+    def write(
+        self, dest: ProcessID, segments, route: int = 0, on_delivered=None
+    ) -> None:
+        if self._closed:
+            raise XDevException("scheduled transport closed")
+        segments = kept_frame(segments, on_delivered)
+        deliver = functools.partial(
+            self.inner.write, dest, segments, route, on_delivered
+        )
+        inboxes = self._inboxes[self._fabric.rank_of(dest)]
+        inboxes[route % len(inboxes)].put((self._pid, segments, deliver))
+
+    @staticmethod
+    def _deliver_loop(inbox: ScheduledInbox) -> None:
+        while True:
+            item = inbox.get()
+            if item is ScheduledTransport._STOP:
+                return
+            try:
+                item[2]()
+            except XDevException:
+                # The sender finished while its frame was queued: the
+                # frame is dropped, like one written to a finished rank.
+                pass
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for inbox in self._own:
+            inbox.put(ScheduledTransport._STOP)
+        current = threading.current_thread()
+        for thread in self._threads:
+            if thread is not current:
+                thread.join(timeout=5)
+        self.inner.close()

@@ -103,15 +103,6 @@ class ProtocolDevice(Device):
         if self._engine is not None:
             self._engine.finish()
 
-    def extend_peers(self, pids: list[ProcessID]) -> int:
-        """Announce dynamically-joined ranks to the transport.
-
-        Used by intercommunicator construction and the daemon's job
-        growth: the transport's address table grows, nothing connects.
-        Returns the number of previously-unknown peers.
-        """
-        return self.engine.transport.extend_peers(pids)
-
     def get_send_overhead(self) -> int:
         return HEADER_SIZE
 

@@ -3,9 +3,9 @@
 The paper makes one engine safe for ``MPI_THREAD_MULTIPLE`` by locking
 the shared communication sets; *MPIxThreads* (PAPERS.md) observes that
 the next step is to stop sharing them — give each thread (or thread
-group) its own **endpoint** with its own slice of the matching state,
-completion queue, and transport inbox, so unrelated threads never
-contend on one lock.
+group) its own **endpoint** with its own slice of the matching state
+and completion queue, so unrelated threads never contend on one
+lock.
 
 Two orthogonal mappings implement that here:
 
@@ -17,9 +17,8 @@ Two orthogonal mappings implement that here:
 * **Frame → route hashing** (:func:`route_of`): every frame's
   *content* — ``(context, tag)`` for matched traffic, the request id
   for id-addressed rendezvous control — hashes to a 31-bit route.
-  ``route % N`` picks the matching shard on the receiver, the smdev
-  inbox the frame is enqueued on, and the channel-lock shard on the
-  sender.
+  ``route % N`` picks the matching shard on the receiver (and, in a
+  seeded-schedule test job, the inbox the frame waits in).
 
 Routing by content rather than by sending thread is deliberate: the
 same frame always takes the same route no matter which thread sent it
@@ -27,8 +26,8 @@ or when, so seeded-schedule replays (PR 1) and chaosdev's content-keyed
 fault decisions stay deterministic under endpoint sharding.  It also
 keeps MPI's non-overtaking rule structural: all frames of one
 ``(context, tag, src)`` stream share a route (the route key is a
-coarsening of the stream key), hence one inbox and one matching shard,
-so they can never overtake each other.
+coarsening of the stream key), hence one matching shard, so they can
+never overtake each other.
 
 The source uid is deliberately **not** part of the route.  Uids come
 from a process-global allocation counter, so the same logical job run

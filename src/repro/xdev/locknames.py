@@ -49,7 +49,7 @@ Rank order (outermost first):
     (restore the SPSC single-producer invariant between application
     threads and the poller); held for one non-blocking ``try_push``.
 8.  ``ticker`` — arrival/probe condition variables.
-9.  ``completed`` — completion-shard locks and the completions counter.
+9.  ``completed`` — completion-shard locks.
 10. ``internal`` — leaf locks private to one object (CopyStats, pool
     free lists, metric registries, arenas...).  They guard a few
     statements, never another lock.

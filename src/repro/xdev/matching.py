@@ -334,9 +334,9 @@ class ShardedMatcher:
 
     ``N`` :class:`MessageQueues` shards, each behind its own lock, plus
     a **wildcard domain** for receives that cannot name a shard.  A
-    frame's shard is ``route_of(context, tag) % N``, the same content
-    hash that picks its smdev inbox, so each shard's lock is only ever
-    contended by the threads actually sharing that traffic stream.
+    frame's shard is ``route_of(context, tag) % N``, a content hash, so
+    each shard's lock is only ever contended by the threads actually
+    sharing that traffic stream.
     Because the route ignores the source, an ``ANY_SOURCE`` receive
     with a concrete tag still maps to exactly one shard — every message
     it could match hashes there too — and only ``ANY_TAG`` receives

@@ -38,10 +38,9 @@ hundreds of ranks on one host — so connections here are **lazy**:
   proves every frame on the old connection was consumed *before* a
   redial can create a new one — eviction cannot reorder messages;
 * the next send to an evicted peer transparently re-dials;
-* rank-to-self traffic short-circuits through an in-process inbox (no
-  loopback TCP: two FDs and a syscall round-trip saved per rank);
-* the address table is growable (:meth:`NIOTransport.extend_peers`),
-  so dynamic join/leave never touches established sockets.
+* rank-to-self frames are delivered on the writing thread, as smdev
+  delivers every frame (no loopback TCP: two FDs and a syscall
+  round-trip saved per rank).
 
 The selector loop is batched: the full ready list is drained per
 wakeup, accepts are coalesced, and each channel's reads are capped per
@@ -66,7 +65,6 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.xdev.base import ProtocolDevice
@@ -462,8 +460,8 @@ class NIOTransport(Transport):
         self._nprocs = len(pids)
         self._my_pid = pids[rank]
         self._my_uid = pids[rank].uid
-        #: uid -> ProcessID; grows under dynamic join (extend_peers,
-        #: or a handshake from a rank we have no address for yet).
+        #: uid -> ProcessID; grows when a handshake arrives from a rank
+        #: the bootstrap did not announce.
         self._pids_by_uid = {p.uid: p for p in pids}
         self._peers_lock = threading.Lock()
         self._listen = listen_sock
@@ -472,12 +470,9 @@ class NIOTransport(Transport):
         self._selector = _make_selector()
         self._thread: threading.Thread | None = None
         self._cache = ConnectionCache(fd_budget(fd_budget_opt))
-        #: Rank-to-self frames: joined blobs drained by the input
-        #: handler — no loopback TCP, no FDs, no syscall round-trip.
-        self._self_inbox: deque[bytes] = deque()
         self._handshakes = 0
         self._closed = False
-        #: Per-connection errors the input handler contained (bad
+        #: Contained per-connection and per-frame errors (bad
         #: handshakes, corrupt frames) — surfaced for diagnostics.
         self.errors: list[Exception] = []
         # Selector wakeup channel: one eventfd where the platform has
@@ -606,11 +601,11 @@ class NIOTransport(Transport):
         if self._closed:
             raise XDevException("transport closed")
         if dest.uid == self._my_uid:
-            self._write_self(segments)
+            self._deliver_self(segments)
         else:
             self._write_socket(dest, segments)
-        # Consuming transport: the bytes are in the kernel (or the
-        # self-inbox blob), so the caller's memory is free again.
+        # Consuming transport: the bytes are in the kernel (or already
+        # delivered to this rank), so the caller's memory is free again.
         if on_delivered is not None:
             on_delivered()
 
@@ -669,22 +664,22 @@ class NIOTransport(Transport):
         finally:
             self._cache.unpin(entry)
 
-    def _write_self(self, segments) -> None:
-        """Satellite: the rank-to-self short-circuit.
+    def _deliver_self(self, segments) -> None:
+        """The rank-to-self short-circuit: no socket, no copy.
 
-        The joined blob plays the kernel socket buffer's role (the
-        consuming-transport contract — caller segments are dead once
-        ``write`` returns); the input handler drains the inbox exactly
-        as it drains a ready channel, so delivery still happens on the
-        progress thread and the no-lock-for-reading rule holds.
+        The frame is delivered on the writing thread, as smdev delivers
+        every frame, so the caller's segments are consumed before
+        ``write`` returns; a corrupt frame is contained like a channel
+        fault.
         """
-        blob = b"".join(memoryview(s).cast("B") for s in segments)
-        if self._engine is not None:
-            payload_len = len(blob) - HEADER_SIZE
-            if payload_len > 0:
-                self._engine.copy_stats.moved(payload_len)
-        self._self_inbox.append(blob)
-        self._wake()
+        engine = self._engine
+        payload_len = sum(len(s) for s in segments) - HEADER_SIZE
+        if payload_len > 0:
+            engine.copy_stats.moved(payload_len)
+        try:
+            engine.deliver_segments(self._my_pid, segments)
+        except Exception as exc:  # noqa: BLE001
+            self.errors.append(exc)
 
     # ------------------------------------------------------------------
     # reading — the input handler / progress engine
@@ -711,26 +706,6 @@ class NIOTransport(Transport):
                         # progress engine.
                         self.errors.append(exc)
                         self._drop(key.data)
-            if self._self_inbox:
-                self._drain_self_inbox()
-
-    def _drain_self_inbox(self) -> None:
-        engine = self._engine
-        if engine is None:  # pragma: no cover - start() wires it first
-            return
-        while True:
-            try:
-                blob = self._self_inbox.popleft()
-            except IndexError:
-                return
-            try:
-                header = FrameHeader.decode(blob)
-                payload = (
-                    memoryview(blob)[HEADER_SIZE:] if header.payload_len else b""
-                )
-                engine.handle_frame(self._my_pid, header, payload)
-            except Exception as exc:  # noqa: BLE001 - contained like a channel fault
-                self.errors.append(exc)
 
     def _accept_batch(self) -> None:
         """Coalesced accepts: drain the whole backlog per readiness
@@ -798,9 +773,9 @@ class NIOTransport(Transport):
         with self._peers_lock:
             pid = self._pids_by_uid.get(uid)
             if pid is None:
-                # Dynamic join: a rank the bootstrap never told us
-                # about.  Identity is the uid; its address arrives via
-                # extend_peers (we only need one to dial back).
+                # A rank the bootstrap never told us about: identity
+                # is the uid; a reply dials the address its sender's
+                # ProcessID carries.
                 pid = ProcessID(uid=uid, address=None)
                 self._pids_by_uid[uid] = pid
         return pid
@@ -889,31 +864,8 @@ class NIOTransport(Transport):
             self._engine.raw_pool.release(state.owned)
             state.owned = None
 
-    # ------------------------------------------------------------------
-    # dynamic membership
-
-    def extend_peers(self, pids) -> int:
-        """Grow the address table without touching established sockets.
-
-        New peers become dialable (and recognizable on accept) the
-        moment their ``ProcessID`` lands here; nothing connects until
-        traffic actually flows.  Returns the number of *new* uids.
-        Existing entries are upgraded in place when the caller brings
-        an address we lacked (a handshake-synthesized peer).
-        """
-        added = 0
-        with self._peers_lock:
-            for pid in pids:
-                cur = self._pids_by_uid.get(pid.uid)
-                if cur is None:
-                    self._pids_by_uid[pid.uid] = pid
-                    added += 1
-                elif cur.address is None and pid.address is not None:
-                    self._pids_by_uid[pid.uid] = pid
-        return added
-
     def introspect(self) -> dict:
-        """Selector backlog, cache state, and self-inbox depth.
+        """Selector backlog and cache state.
 
         Best-effort from outside the input-handler thread: the
         selector map is read without a lock, so a channel registering
@@ -938,7 +890,6 @@ class NIOTransport(Transport):
             "selector_partial_reads": partial_reads,
             "write_channels": len(self._cache._entries),
             "frame_errors": len(self.errors),
-            "self_inbox_depth": len(self._self_inbox),
             "handshakes_accepted": self._handshakes,
             "peers_known": peers_known,
             "connection_cache": self._cache.introspect(),

@@ -31,8 +31,8 @@ Datapath:
   are reachable from portable Python; sub-millisecond wakeup with ~0%
   idle CPU is the practical equivalent.
 
-The transport is *consuming* (``retains_segments = False``): every
-write lands in shared memory before returning, so ``write`` fires the
+Like every transport, ``write`` consumes its segments: every write
+lands in shared memory before returning, so ``write`` fires the
 delivery fence itself, and it ignores the content route: one SPSC ring
 per directed rank pair regardless of endpoint count (the matching
 shards still parallelize above it).
@@ -152,8 +152,6 @@ class ProcTransport(Transport):
     thread's lock) unreachable: pollers always return to draining, and
     every blocked application write is therefore eventually freed.
     """
-
-    retains_segments = False
 
     def __init__(
         self,

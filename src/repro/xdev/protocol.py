@@ -18,20 +18,22 @@ owns five lock classes (names as in :mod:`repro.xdev.locknames`):
 * ``send-sets`` — guards the pending-send set (Figs 6, 8).
 * ``rendezvous-ids`` — guards the recv-id table and active-RTS set
   (id-addressed state, not part of any matching shard).
-* ``completed`` — the completion shards and the completions counter.
+* ``completed`` — the completion shards.
 
 **Write serialisation is the transport's**, as in the paper, where the
 per-destination write lock lives inside niodev ("every thread that
 tries to write a message first acquires the associated lock"):
 :meth:`Transport.write` is thread-safe and ordered by contract, and
 each transport serialises with what its medium needs — nothing for
-smdev's atomic ``queue.put``, a write lock on the pinned connection
-for niodev's byte stream, the outbound-ring lock for procdev.  The
-engine holds none of its own locks across a ``write``, so a transport
-blocking on a full medium can never wedge another thread's protocol
-step.  No lock for reading: input-handler threads (one per endpoint
-inbox on smdev) demultiplex frames by content route, so two handlers
-never touch the same matching shard's stream.
+smdev, which delivers on the writing thread, a write lock on the
+pinned connection for niodev's byte stream, the outbound-ring lock for
+procdev.  The engine holds none of its own locks across a ``write``,
+so a transport blocking on a full medium can never wedge another
+thread's protocol step — and a transport whose ``write`` runs the
+receiver's :meth:`ProtocolEngine.handle_frame` inline (smdev, niodev's
+rank-to-self path) can never re-enter a lock its caller holds.  No
+lock for reading: frames demultiplex by content route onto the
+matching shards, whichever thread delivers them.
 
 The send-sets lock and the write of a rendezvous send are taken *one
 after the other*, never nested ("to avoid blocking other user threads
@@ -64,7 +66,7 @@ from repro.buffer.buffer import (
 )
 from repro.buffer.pool import BufferPool, DEFAULT_POOL, RawPool
 from repro.mpjdev.request import Request, Status
-from repro.obs.metrics import MetricsRegistry, make_registry
+from repro.obs.metrics import Counter, MetricsRegistry, make_registry
 from repro.obs.tracing import dump_metrics, writer_for
 from repro.xdev.completion import CompletionShards
 from repro.xdev.constants import ANY_SOURCE
@@ -89,10 +91,17 @@ from repro.xdev.processid import ProcessID
 #: dip at 128 KB comes from this constant.
 DEFAULT_EAGER_THRESHOLD = 128 * 1024
 
-#: Eager staging on retaining transports: below this wire size the
-#: segments are joined into one immutable ``bytes`` (cheaper than a
-#: pool round trip plus a delivery fence for small messages).
-_STAGE_JOIN_MAX = 8 * 1024
+#: The engine's protocol event counters, surfaced as ``engine.stats``
+#: and the ``engine`` metrics section.
+_STATS = (
+    "eager_sends",
+    "rendezvous_sends",
+    "unexpected_messages",
+    "rendezvous_writer_threads",
+    "completions",
+    "duplicate_control_frames",
+    "failed_deliveries",
+)
 
 MODE_STANDARD = "standard"
 MODE_SYNC = "sync"
@@ -107,28 +116,24 @@ class Transport(abc.ABC):
     ``write(dest, segments, route=0, on_delivered=None)`` is the whole
     write contract: thread-safe, FIFO per calling thread per
     ``(dest, route)``, frames never interleaved, and the fence it is
-    handed fires exactly once (before return on consuming transports,
-    from the delivery path on retaining ones, never if ``write``
-    raises).  The engine calls it from any thread with no lock held;
-    each transport serialises with what its medium needs.
+    handed fires exactly once (never if ``write`` raises).  The engine
+    calls it from any thread with no lock held; each transport
+    serialises with what its medium needs.
 
     *route* is the frame's content route (see
-    :mod:`repro.xdev.endpoints`).  Transports with per-endpoint
-    inboxes deliver on ``route % endpoints``; byte-stream transports
-    ignore it, since one stream per peer already orders everything.
+    :mod:`repro.xdev.endpoints`).  A transport that queues frames per
+    endpoint delivers on ``route % endpoints``; the others ignore it,
+    since one stream per peer, or delivery before ``write`` returns,
+    already orders everything.
 
-    Segment lifetime (the zero-copy contract): a transport whose
-    ``write`` may keep referencing the caller's segment memory after
-    returning — queue transports that enqueue by reference, decorators
-    that hold frames back — sets :attr:`retains_segments`, and the
-    engine hands it stable (staged) memory for eager sends.  A
-    transport that consumes the segments before ``write`` returns (TCP
-    ``sendmsg`` copies into the kernel) leaves the default ``False``.
+    Segment lifetime (the zero-copy contract): ``write`` consumes the
+    caller's segments before it returns — TCP ``sendmsg`` copies them
+    into the kernel, smdev delivers them on the calling thread.  A
+    decorator that keeps a frame past ``write`` (held back, queued for
+    a later delivery) must copy it, unless the write carries a fence:
+    a fenced frame (rendezvous data) stays referenced until the fence
+    fires, which is what keeps it zero-copy.
     """
-
-    #: True when write() may reference segments after returning.  It
-    #: decides eager staging (``ProtocolEngine._stable_segments``).
-    retains_segments: bool = False
 
     @abc.abstractmethod
     def start(self, engine: "ProtocolEngine") -> None:
@@ -146,21 +151,10 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def close(self) -> None:
-        """Stop the input handler and release transport resources."""
-
-    def extend_peers(self, pids: list[ProcessID]) -> int:
-        """Teach the transport new peers without touching live state.
-
-        Dynamic join (intercommunicator construction, daemon ``grow``)
-        announces new ranks' addresses here; transports that keep an
-        address table add the unknown uids and return how many were
-        new.  Established connections are never disturbed — a new peer
-        becomes reachable, not connected.  Default: no table, 0.
-        """
-        return 0
+        """Stop delivering inbound frames and release transport resources."""
 
     def introspect(self) -> dict[str, Any]:
-        """Transport-specific live depths (inbox backlog, selector
+        """Transport-specific live state (frame errors, selector
         state); folded into ``device.introspect()``.  Best-effort and
         lock-free — numbers may be momentarily stale."""
         return {}
@@ -241,13 +235,14 @@ class ProtocolEngine:
         self.trace_label = trace_label
         #: Per-device copy/move accounting (see docs/performance.md).
         self.copy_stats = self.metrics.copy_stats
-        #: Device-level scratch storage: eager staging on retaining
-        #: transports, receive scratch and unexpected-message storage.
+        #: Device-level scratch storage: receive scratch and
+        #: unexpected-message storage.
         self.raw_pool = RawPool(stats=self.copy_stats)
         #: Paper Fig. 8 forks a "rendez-write-thread" per RTR so the
         #: input handler never blocks on a large write.  Disabling this
-        #: (ablation) performs the write on the input-handler thread —
-        #: the configuration the paper warns can deadlock.
+        #: (ablation) performs the write on the thread that delivered
+        #: the RTR — on niodev the input handler, the configuration the
+        #: paper warns can deadlock.
         self.fork_rendezvous_writer = fork_rendezvous_writer
 
         #: Endpoint count (option > REPRO_ENDPOINTS env > default) and
@@ -277,7 +272,6 @@ class ProtocolEngine:
 
         # completed-request shards backing peek(), one per endpoint
         self._completions = CompletionShards(self.endpoints)
-        self._completions_lock = threading.Lock()
 
         self._ids = itertools.count(1)
         self._finished = False
@@ -293,16 +287,11 @@ class ProtocolEngine:
         self.clock = LamportClock()
         self._flow_seq = LamportClock()
 
-        # statistics (tests + benches)
-        self.stats = {
-            "eager_sends": 0,
-            "rendezvous_sends": 0,
-            "unexpected_messages": 0,
-            "rendezvous_writer_threads": 0,
-            "completions": 0,
-            "duplicate_control_frames": 0,
-            "failed_deliveries": 0,
-        }
+        #: Protocol event counters (tests, benches, the watchdog's
+        #: progress signal).  Each takes its own tiny lock: frames are
+        #: delivered on any number of threads, and a bare ``+= 1``
+        #: would lose updates between its read and its write.
+        self._stats = {name: Counter(name) for name in _STATS}
 
         # Observability: hot paths go through pre-bound instruments —
         # with metrics disabled these are shared no-ops, so the cost
@@ -344,6 +333,11 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # plumbing
 
+    @property
+    def stats(self) -> dict[str, int]:
+        """Snapshot of the protocol event counters."""
+        return {name: c.value for name, c in self._stats.items()}
+
     def observe_lock_wait(self, t0: float) -> None:
         """Record a write-lock wait that began at ``time.monotonic()``
         *t0* — the one place ``channel_lock.wait_us`` is observed.
@@ -370,11 +364,7 @@ class ProtocolEngine:
                 self._h_send_latency.observe(latency_us)
             else:
                 self._h_recv_latency.observe(latency_us)
-        # The completions counter stays exact (the watchdog's progress
-        # signal) under its own tiny lock; the request itself lands on
-        # its endpoint's completion shard.
-        with self._completions_lock:
-            self.stats["completions"] += 1
+        self._stats["completions"].inc()
         self._completions.push(request, request.endpoint)
 
     def _write(
@@ -417,7 +407,7 @@ class ProtocolEngine:
         ep = self._binding.current()
         request.endpoint = ep
         # Content route: every frame of this (context, tag, src) stream
-        # takes the same destination inbox, so the non-overtaking rule
+        # lands on the same matching shard, so the non-overtaking rule
         # holds structurally.
         route = route_of(context, tag)
 
@@ -437,12 +427,10 @@ class ProtocolEngine:
         if use_eager:
             # Fig. 3: lock dest channel / send the data / unlock (the
             # transport's write does all three) / return a non-pending
-            # send request object.  A consuming transport (sendmsg)
-            # gathers the live segments — zero staging; a retaining
-            # transport (in-process queues) gets a stable staged copy
-            # so the request can still complete non-pending while the
-            # frame sits in the peer's inbox.
-            self.stats["eager_sends"] += 1
+            # send request object.  Every transport consumes the live
+            # segments before write returns (sendmsg, or delivery on
+            # this thread), so nothing is staged.
+            self._stats["eager_sends"].inc()
             self._h_eager_bytes.observe(buf.size)
             lc = self.clock.tick()
             if tracer is not None:
@@ -452,28 +440,19 @@ class ProtocolEngine:
                     tag=tag, ctx=context, size=buf.size, proto="eager", ep=ep,
                     lc=lc, fq=flow_seq,
                 )
-            payload, release = self._stable_segments(segments, wire_len)
-            try:
-                self._write(
-                    dest,
-                    encode_frame(
-                        FrameType.EAGER,
-                        context,
-                        tag,
-                        payload=payload,
-                        clock=lc,
-                        flow_src=self.my_pid.uid,
-                        flow_seq=flow_seq,
-                    ),
-                    on_delivered=release,
-                    route=route,
-                )
-            except BaseException:
-                # A transport that raises from write() never fires the
-                # delivery fence; release the staging here or it leaks.
-                if release is not None:
-                    release()
-                raise
+            self._write(
+                dest,
+                encode_frame(
+                    FrameType.EAGER,
+                    context,
+                    tag,
+                    payload=segments,
+                    clock=lc,
+                    flow_src=self.my_pid.uid,
+                    flow_seq=flow_seq,
+                ),
+                route=route,
+            )
             request.complete(Status(source=self.my_pid, tag=tag, size=buf.size))
             if tracer is not None:
                 tracer.emit("send.complete", id=request.trace_id, size=buf.size)
@@ -483,7 +462,7 @@ class ProtocolEngine:
         # unlock / lock dest channel / send ready-to-send / unlock /
         # return pending send request.  Note the two locks are taken
         # sequentially, never nested.
-        self.stats["rendezvous_sends"] += 1
+        self._stats["rendezvous_sends"].inc()
         self._h_rndz_bytes.observe(buf.size)
         send_id = next(self._ids)
         request.trace_id = send_id
@@ -506,7 +485,11 @@ class ProtocolEngine:
         # unused) recv_id header field so probes can report an accurate
         # count before the data transfer happens.  It shares the data
         # stream's route: RTS frames must not overtake eager frames of
-        # the same stream.
+        # the same stream.  ``rts.out`` is stamped first: an inline
+        # transport answers the RTS before write returns, and the
+        # reply must not be stamped before its request.
+        if tracer is not None:
+            tracer.emit("rts.out", id=send_id, peer=dest.uid, fq=flow_seq)
         try:
             self._write(
                 dest,
@@ -528,39 +511,7 @@ class ProtocolEngine:
             with self._send_lock:
                 self._pending_sends.pop(send_id, None)
             raise
-        if tracer is not None:
-            tracer.emit("rts.out", id=send_id, peer=dest.uid, fq=flow_seq)
         return request
-
-    def _stable_segments(
-        self, segments: list[bytes | memoryview], wire_len: int
-    ) -> tuple[list[bytes | memoryview], Optional[Callable[[], None]]]:
-        """Segments safe to hand to the transport for an eager send.
-
-        On a consuming transport the live views are already safe.  On
-        a retaining transport the payload is staged into pooled
-        scratch (the one eager-path copy, accounted) and released back
-        to the pool by the delivery fence.
-        """
-        if not self.transport.retains_segments:
-            return segments, None
-        if wire_len <= _STAGE_JOIN_MAX:
-            # Small messages: one immutable bytes is stable by nature,
-            # so no pool round trip and no delivery fence are needed.
-            flat = b"".join(segments)
-            self.copy_stats.copied(len(flat))
-            return [flat], None
-        staging = self.raw_pool.acquire(wire_len)
-        try:
-            offset = copy_segments([memoryview(staging)[:wire_len]], segments)
-        except BaseException:
-            # A bad segment (released buffer, size lie) must not leak
-            # the staging scratch.
-            self.raw_pool.release(staging)
-            raise
-        self.copy_stats.copied(offset)
-        release = lambda: self.raw_pool.release(staging)  # noqa: E731
-        return [memoryview(staging)[:offset]], release
 
     def send(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> None:
         self.isend(buf, dest, tag, context).wait()
@@ -635,8 +586,14 @@ class ProtocolEngine:
         # answer always takes the same path regardless of which thread
         # sends it.  The RTR echoes the RTS's flow id back, so the
         # sender's RNDZ_DATA can carry it without parking flow state
-        # in the pending-send set.
+        # in the pending-send set.  Stamped before the write, like
+        # ``rts.out``: an inline transport runs the reply chain first.
         lc = self.clock.tick()
+        if self.tracer is not None:
+            self.tracer.emit(
+                "rtr.out", id=trace_id, peer=rts.src_uid,
+                lc=lc, fs=rts.flow_src, fq=rts.flow_seq,
+            )
         self._write(
             rts.src_pid,
             encode_frame(
@@ -651,11 +608,6 @@ class ProtocolEngine:
             ),
             route=route_of_id(rts.send_id),
         )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "rtr.out", id=trace_id, peer=rts.src_uid,
-                lc=lc, fs=rts.flow_src, fq=rts.flow_seq,
-            )
 
     def recv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Status:
         return self.irecv(buf, src, tag, context).wait()
@@ -700,7 +652,7 @@ class ProtocolEngine:
         corrupt wire data and is re-raised, so the transport records
         the frame-level fault.
         """
-        self.stats["failed_deliveries"] += 1
+        self._stats["failed_deliveries"].inc()
         if self.tracer is not None:
             self.tracer.emit("recv.fail", id=request.trace_id)
         request.fail(exc)
@@ -805,7 +757,32 @@ class ProtocolEngine:
         return self._completions.drain()
 
     # ------------------------------------------------------------------
-    # input handler — called by the transport's progress thread
+    # inbound frames — called by the transport's delivering thread
+
+    def deliver_segments(
+        self, src_pid: ProcessID, segments: list[bytes | memoryview]
+    ) -> None:
+        """Process one frame handed over as the sender's segment list.
+
+        The delivery routine of the in-process paths (smdev, niodev's
+        rank-to-self frames), run on the writing thread: a complete
+        rendezvous payload is gathered straight into the posted
+        buffer's memory, anything else goes to :meth:`handle_frame`.
+        The segments are consumed before this returns.
+        """
+        header = FrameHeader.decode(segments[0])
+        payload = segments[1:]
+        # Actual bytes present, which a fault-injecting wrapper may
+        # have truncated below header.payload_len — such frames must
+        # take the validating fallback path and fail the request.
+        total = sum(len(s) for s in payload)
+        if header.type == FrameType.RNDZ_DATA and total == header.payload_len:
+            landing = self.rendezvous_landing(header.recv_id, total)
+            if landing is not None:
+                self.copy_stats.moved(copy_segments(landing, payload))
+                self.handle_frame(src_pid, header, in_place=True)
+                return
+        self.handle_frame(src_pid, header, payload)
 
     def handle_frame(
         self,
@@ -818,9 +795,12 @@ class ProtocolEngine:
     ) -> None:
         """Process one inbound frame (paper Figs 5 and 8).
 
-        Runs on the transport's input-handler thread.  Must never
-        block indefinitely: the only potentially long operation — the
-        rendezvous data write — is forked to a separate thread.
+        Runs on whichever thread delivers the frame: niodev's and
+        procdev's progress threads, or the writing thread on smdev.
+        Must never block indefinitely: the only potentially long
+        operation — the rendezvous data write — is forked to a separate
+        thread.  An inline reply (an RTR answering an RTS, then the
+        data answering the RTR) recurses at most those two levels.
 
         *payload* may be a single bytes-like or a segment list; the
         engine consumes it before returning unless it takes ownership
@@ -895,7 +875,7 @@ class ProtocolEngine:
             # indexed: once another thread can see it, its payload must
             # already be stable.
             nonlocal adopted
-            self.stats["unexpected_messages"] += 1
+            self._stats["unexpected_messages"].inc()
             if owned is not None:
                 # Adopt the transport's scratch as the unexpected
                 # message's storage — no second copy.
@@ -903,8 +883,9 @@ class ProtocolEngine:
                 m.storage = owned
                 adopted = None
             else:
-                # The frame's memory belongs to the transport (it is
-                # reclaimed once this handler returns): stage the
+                # The frame's memory belongs to the sender or the
+                # transport (it is reclaimed once this handler
+                # returns): stage the
                 # unexpected payload into stable pooled scratch.  This
                 # is the eager protocol's "device level memory"
                 # (Section IV-A.1), and the one copy an unmatched
@@ -934,13 +915,12 @@ class ProtocolEngine:
     ) -> None:
         # Fig. 8, ready-to-send branch.  A duplicated RTS would claim
         # (and forever wedge) a second posted receive; reject it before
-        # it can match anything.  Duplicates of one RTS share its
-        # content route, so they are serialized by its inbox handler —
-        # the check-then-add below cannot race with itself.
+        # it can match anything.  The check-then-add is one step under
+        # the rendezvous-ids lock, whichever threads deliver the copies.
         rts_key = (src_pid.uid, header.send_id)
         with self._rndz_lock:
             if rts_key in self._active_rts:
-                self.stats["duplicate_control_frames"] += 1
+                self._stats["duplicate_control_frames"].inc()
                 raise DuplicateControlFrameError(
                     f"duplicate RTS send_id={header.send_id} from {src_pid}"
                 )
@@ -959,7 +939,7 @@ class ProtocolEngine:
         )
 
         def count_unexpected(m: ArrivedMessage) -> None:
-            self.stats["unexpected_messages"] += 1
+            self._stats["unexpected_messages"].inc()
 
         matched = self._matcher.arrive(msg, on_store=count_unexpected)
         recv_id = 0
@@ -987,7 +967,7 @@ class ProtocolEngine:
             # Either corruption or a duplicated RTR — the first RTR
             # already consumed the pending send, so answering again
             # would complete the request twice.  Reject loudly.
-            self.stats["duplicate_control_frames"] += 1
+            self._stats["duplicate_control_frames"].inc()
             raise DuplicateControlFrameError(
                 f"RTR for unknown send id {header.send_id} from {src_pid}"
                 " (duplicate or corrupt ready-to-recv)"
@@ -1039,7 +1019,7 @@ class ProtocolEngine:
             )
 
         if self.fork_rendezvous_writer:
-            self.stats["rendezvous_writer_threads"] += 1
+            self._stats["rendezvous_writer_threads"].inc()
             threading.Thread(
                 target=rendez_write, name="rendez-write-thread", daemon=True
             ).start()

@@ -58,6 +58,18 @@ class TestLockOrder:
     def test_pin_before_channel_lock_passes(self):
         assert run_one("lock-order", load("lockorder_cache_clean")) == []
 
+    def test_flags_lock_held_across_an_inline_delivering_write(self):
+        findings = run_one("lock-order", load("lockorder_inline_bad"))
+        assert {f.symbol for f in findings} == {"Engine.post_rts_under_lock"}
+        # Reached through the write: the re-entry is transitive.
+        assert all(
+            "InlineTransport.write" in f.message and "send-sets" in f.message
+            for f in findings
+        )
+
+    def test_write_after_releasing_the_lock_passes(self):
+        assert run_one("lock-order", load("lockorder_inline_clean")) == []
+
 
 class TestNoBlockInPoller:
     def test_flags_transitive_sleep(self):

@@ -71,7 +71,7 @@ class TestLazyConnections:
                 d.finish()
 
     def test_self_send_uses_no_socket(self):
-        """Satellite: rank-to-self traffic rides the in-process inbox —
+        """Rank-to-self traffic is delivered on the writing thread —
         no loopback TCP, so the cache stays empty."""
         devices, pids = make_job("niodev", 1)
         try:
@@ -87,7 +87,7 @@ class TestLazyConnections:
             devices[0].finish()
 
     def test_self_send_rendezvous_roundtrip(self):
-        """The self-inbox must carry the full RTS/RTR/DATA exchange,
+        """The self path must carry the full RTS/RTR/DATA exchange,
         not just eager frames."""
         devices, pids = make_job("niodev", 1, options={"eager_threshold": 128})
         try:
@@ -384,42 +384,6 @@ class TestDialErrors:
             with pytest.raises(ConnectError) as excinfo:
                 transport._dial(ProcessID(uid=55, address=None))
             assert excinfo.value.attempts == 0
-        finally:
-            devices[0].finish()
-
-
-class TestDynamicPeers:
-    def test_extend_peers_adds_addresses_without_connecting(self):
-        devices, _pids = make_job("niodev", 2)
-        try:
-            transport = devices[0].engine.transport
-            before = transport.introspect()["peers_known"]
-            newcomers = [
-                ProcessID(uid=100 + i, address=("127.0.0.1", 40_000 + i))
-                for i in range(3)
-            ]
-            assert devices[0].extend_peers(newcomers) == 3
-            assert transport.introspect()["peers_known"] == before + 3
-            assert devices[0].extend_peers(newcomers) == 0  # idempotent
-            assert cache_stats(devices[0])["open"] == 0  # addresses only
-        finally:
-            for d in devices:
-                d.finish()
-
-    def test_extend_peers_upgrades_addressless_entry(self):
-        devices, _pids = make_job("niodev", 1)
-        try:
-            transport = devices[0].engine.transport
-            # A handshake-synthesized peer: known uid, no address yet.
-            transport._lookup_peer(77)
-            assert (
-                devices[0].extend_peers(
-                    [ProcessID(uid=77, address=("127.0.0.1", 41_000))]
-                )
-                == 0
-            )
-            with transport._peers_lock:
-                assert transport._pids_by_uid[77].address == ("127.0.0.1", 41_000)
         finally:
             devices[0].finish()
 

@@ -9,12 +9,17 @@ multi-threaded MPJE process blocks itself and we check if this halts
 the execution of other threads in the same process."
 """
 
+import sys
 import threading
 
 import numpy as np
 
+from repro import mpi
 from repro.buffer import Buffer
+from repro.runtime.launcher import run_spmd
 from repro.xdev.constants import ANY_TAG
+
+from tests.conftest import make_job
 
 
 def send_buffer(arr):
@@ -192,3 +197,70 @@ class TestSimultaneousLargeMessages:
         t0.start(); t1.start()
         t0.join(60); t1.join(60)
         assert done == {0: True, 1: True}
+
+    def test_sendrecv_without_writer_threads_on_smdev(self):
+        """The same exchange as one MPI Sendrecv per rank, with the
+        rendez-write-thread ablated.  smdev answers an RTR on the thread
+        that wrote the RTS, so nothing waits on a blocked handler and
+        the exchange completes; on niodev the ablation can deadlock."""
+        n = (1 << 20) // 8  # 1 MiB of doubles
+
+        def main(env):
+            comm = env.COMM_WORLD
+            peer = 1 - comm.rank()
+            out = np.full(n, comm.rank(), dtype=np.float64)
+            incoming = np.empty(n, dtype=np.float64)
+            comm.Sendrecv(
+                out, 0, n, mpi.DOUBLE, peer, 4, incoming, 0, n, mpi.DOUBLE, peer, 4
+            )
+            return bool((incoming == peer).all())
+
+        results = run_spmd(
+            main, 2, device="smdev",
+            options={"fork_rendezvous_writer": False}, timeout=60,
+        )
+        assert results == [True, True]
+
+
+class TestExactCounters:
+    """Frames are delivered on whichever thread writes them, so the
+    engine's counters are bumped by many threads at once and must not
+    lose an increment to a badly timed thread switch.  (A GIL build of
+    CPython 3.11 never switches inside a dict ``+= 1``; a free-threaded
+    build can, which is what this guards.)"""
+
+    def test_counts_are_exact_under_preemption(self):
+        nthreads, per_thread = 4, 250
+        total = nthreads * per_thread
+        devs, pids = make_job("smdev", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def sender(tid):
+                for i in range(per_thread):
+                    payload = np.array([i], dtype=np.int64)
+                    devs[0].send(send_buffer(payload), pids[1], tid, 0)
+
+            threads = [
+                threading.Thread(target=sender, args=(t,)) for t in range(nthreads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            # No receive was posted: every message arrived unexpected,
+            # counted by the sending threads inside rank 1's engine.
+            sender_stats = devs[0].engine.stats
+            assert sender_stats["eager_sends"] == total
+            assert sender_stats["completions"] == total
+            assert devs[1].engine.stats["unexpected_messages"] == total
+            for _ in range(total):
+                devs[1].recv(Buffer(), pids[0], ANY_TAG, 0)
+            assert devs[1].engine.stats["completions"] == total
+        finally:
+            for d in devs:
+                d.finish()

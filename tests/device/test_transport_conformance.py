@@ -2,8 +2,9 @@
 
 ``write(dest, segments, route=0, on_delivered=None)`` must be
 thread-safe, FIFO per calling thread per ``(dest, route)``, never
-interleave two frames' bytes, and fire the fence it is handed exactly
-once — and never when it raises.  The engine relies on exactly this
+interleave two frames' bytes, consume its segments before returning,
+and fire the fence it is handed exactly once — and never when it
+raises.  The engine relies on exactly this
 and holds no lock of its own around a write, so the contract is tested
 below the engine: frames are written straight to rank 0's transport
 and observed at rank 1's ``handle_frame``.
@@ -186,6 +187,21 @@ def test_write_is_threadsafe_ordered_and_fenced_exactly_once(rig):
     with pytest.raises(XDevException):
         rig.write(0, 0, FRAMES[0])
     assert (0, 0, FRAMES[0]) not in rig.fences
+
+
+def test_smdev_delivers_and_fences_before_write_returns():
+    rig = Rig("smdev")
+    try:
+        rig.write(0, 0, 0)
+        # No wait: the frame was handled, and its fence fired, on this
+        # thread, inside write.
+        assert [a[2] for a in rig.arrivals] == [0]
+        assert rig.fences == {(0, 0, 0): 1}
+        assert not [
+            t for t in threading.enumerate() if "smdev-input-handler" in t.name
+        ]
+    finally:
+        rig.close()
 
 
 def test_niodev_dead_socket_write_raises_unfenced_then_redials():

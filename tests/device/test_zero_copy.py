@@ -78,6 +78,27 @@ class TestZeroCopyRendezvous:
             for d in devices:
                 d.finish()
 
+    @pytest.mark.parametrize("device_kind", ["smdev", "niodev"])
+    def test_self_send_rendezvous_lands_in_place(self, device_kind):
+        # Rank-to-self frames are delivered on the writing thread on
+        # both devices: RTS, RTR and the 1 MiB data frame, which lands
+        # in the posted buffer without a socket or a copy.
+        devices, pids = make_job(device_kind, 1)
+        try:
+            payload = np.arange(MB, dtype=np.uint8)
+            out = np.empty(MB, dtype=np.uint8)
+            _reset_stats(devices)
+            req = devices[0].isend(send_buffer(payload), pids[0], 6, 0)
+            rbuf = Buffer(capacity=payload.nbytes + 64)
+            devices[0].recv(rbuf, pids[0], 6, 0)
+            req.wait(timeout=30)
+            rbuf.read_section(out=out)
+            assert np.array_equal(out, payload)
+            assert _combined(devices)["bytes_copied"] == 0
+            assert devices[0].engine.stats["rendezvous_sends"] == 1
+        finally:
+            devices[0].finish()
+
     def test_ssend_is_zero_copy_on_smdev(self, ):
         # Synchronous mode forces rendezvous regardless of size.
         devices, pids = make_job("smdev", 2)
@@ -99,23 +120,19 @@ class TestZeroCopyRendezvous:
                 d.finish()
 
     def test_eager_copies_are_accounted(self):
-        # Small sends stage (in-process transports) or scratch-land, and
-        # every such byte must appear under bytes_copied — the counter
-        # proves the *rendezvous* zeros above are measurements, not a
-        # broken meter.
+        # An eager message that arrives before its receive is staged
+        # into device scratch, and every such byte must appear under
+        # bytes_copied — the counter proves the *rendezvous* zeros
+        # above are measurements, not a broken meter.
         devices, pids = make_job("smdev", 2)
         try:
             payload = np.arange(1024, dtype=np.uint8)
             _reset_stats(devices)
-
-            def receiver():
-                devices[1].recv(Buffer(capacity=2048), pids[0], 3, 0)
-
-            t = threading.Thread(target=receiver)
-            t.start()
+            # smdev delivers on this thread: the message is unexpected
+            # by the time send returns.
             devices[0].send(send_buffer(payload), pids[1], 3, 0)
-            t.join(timeout=30)
-            assert not t.is_alive()
+            assert devices[1].engine.unexpected_count() == 1
+            devices[1].recv(Buffer(capacity=2048), pids[0], 3, 0)
             combined = _combined(devices)
             assert combined["bytes_copied"] >= payload.nbytes
         finally:

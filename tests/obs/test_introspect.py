@@ -57,7 +57,8 @@ class TestDeviceIntrospect:
             assert snap["device"] == "smdev"
             assert snap["rank"] == pids[1].uid
             assert snap["unexpected_messages"] == 0
-            assert "inbox_depth" in snap["transport"]
+            # smdev delivers on the writer's thread: no inbox to report.
+            assert snap["transport"] == {"frame_errors": 0}
 
             # Satisfy them; depths return to zero.
             for tag in (1, 2):

@@ -2,8 +2,8 @@
 
 Every test drives many concurrent sender/receiver threads whose tags
 route to *different* endpoint shards — the configuration where the
-sharded matcher, per-endpoint smdev inboxes, and channel-lock shards
-all run concurrently — and asserts the paper's correctness claims
+sharded matcher and completion shards all run concurrently — and
+asserts the paper's correctness claims
 survive: contents exact, per-stream FIFO, wildcard receives complete,
 no lock-order violations, no stalls.  Chaos tests inherit the
 ``chaos_seed`` fixture, so a failure prints its ``REPRO_CHAOS_SEED``
