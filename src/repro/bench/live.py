@@ -95,11 +95,6 @@ def _pingpong_loop(dev, peer, payload, iters: int, initiator: bool) -> None:
             sbuf = Buffer()
             sbuf.write(payload)
             dev.send(sbuf, peer, send_tag, 0)
-        # Consume the peek queue like a real application would:
-        # completed requests pin their (multi-MB) buffers until
-        # drained, which at 16 MB per message dominates memory and
-        # skews the timings.
-        dev.engine.drain_completed()
 
 
 def measure_pingpong(

@@ -44,6 +44,8 @@ from repro.buffer.types import SectionType, dtype_for
 
 _HEADER = struct.Struct("<Bi")  # section type code, element count
 _WIRE_HEADER = struct.Struct("<qq")  # static size, dynamic size
+#: Both headers of a single-section wire image, packed in one call.
+_IMAGE_HEADER = struct.Struct("<qqBi")
 
 #: Header bytes fronting a single-section wire image: the buffer wire
 #: header plus one static-section header.
@@ -61,18 +63,21 @@ class ArraySendWindow(Buffer):
     __slots__ = ("_view", "_section_type", "_count", "_header")
 
     def __init__(self, view: memoryview, section_type: SectionType, count: int) -> None:
-        super().__init__(capacity=16)
+        # No Buffer.__init__: a window has no storage of its own, and
+        # skipping the two unused stores matters at one window a message.
         if count * dtype_for(section_type).itemsize != len(view):
             raise BufferFormatError(
                 f"window of {len(view)} bytes does not hold {count} "
                 f"{section_type.name} elements"
             )
+        self._store = self._static = self._dyn_store = self._dynamic = None
+        self._pool = None
         self._view = view
         self._section_type = section_type
         self._count = count
-        self._header = _WIRE_HEADER.pack(
-            _HEADER.size + len(view), 0
-        ) + _HEADER.pack(int(section_type), count)
+        self._header = _IMAGE_HEADER.pack(
+            _HEADER.size + len(view), 0, section_type, count
+        )
         self._committed = True
 
     # -- sizes ----------------------------------------------------------
@@ -125,7 +130,9 @@ class ArrayRecvWindow(Buffer):
         max_count: int,
         block_count: int = 1,
     ) -> None:
-        super().__init__(capacity=16)
+        self._store = self._static = self._dyn_store = self._dynamic = None
+        self._pool = None
+        self._committed = False
         self._dest = dest
         self._section_type = section_type
         self._max_count = max_count

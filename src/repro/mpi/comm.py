@@ -13,8 +13,8 @@ A message is packed into an mpjbuf :class:`~repro.buffer.Buffer`
 (primitive data → static section; objects → dynamic section) and
 handed to mpjdev; receives unpack arrived buffers into the user array
 on the waiting thread.  Buffers come from the environment's pool and
-return to it when requests finish.  Large contiguous arrays skip both
-copies: an array window *is* the Buffer (see :meth:`Comm._window`).
+return to it when requests finish.  Contiguous arrays of any size skip
+both copies: an array window *is* the Buffer (see :meth:`Comm._window`).
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.buffer import Buffer
 from repro.buffer.pool import BufferPool, DEFAULT_POOL
-from repro.buffer.window import (
-    ArrayRecvWindow,
-    ArraySendWindow,
-    SECTION_OVERHEAD,
-)
+from repro.buffer.window import ArrayRecvWindow, ArraySendWindow
 from repro.mpi.attributes import AttributeMixin
 from repro.mpi.datatype import (
     BasicType,
@@ -45,9 +41,11 @@ from repro.mpi.exceptions import (
     MPIException,
 )
 from repro.mpi.group import Group
-from repro.mpi.request import MPIRequest
+from repro.mpi.request import MPIRequest, raise_failure
 from repro.mpi.status import MPIStatus
 from repro.mpjdev.comm import MPJDevComm, RankRequest
+from repro.mpjdev.request import Request as DevRequest
+from repro.mpjdev.request import RequestFailedError
 from repro.mpjdev.request import Status as DevStatus
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 
@@ -87,8 +85,8 @@ class Comm(AttributeMixin):
         self._env = env
         self._freed = False
         #: The device's protocol engine (None on devices without one),
-        #: looked up once: the window gate reads its eager threshold on
-        #: every send and receive.
+        #: looked up once: the window gate asks for it on every send
+        #: and receive.
         self._engine = getattr(devcomm.device, "engine", None)
 
     # ------------------------------------------------------------------
@@ -215,8 +213,20 @@ class Comm(AttributeMixin):
             inner, finisher, device=self._devcomm.device, cleanup=cleanup
         )
 
+    @staticmethod
+    def _reap(request: DevRequest, message: Optional[Buffer] = None) -> DevStatus:
+        """Wait on a blocking call's device request.
+
+        A failure raises what :class:`MPIRequest` would raise, after
+        returning the pooled *message*; nothing else is built.
+        """
+        try:
+            return request.wait()
+        except RequestFailedError as exc:
+            raise_failure(exc, None if message is None else message.free)
+
     # ------------------------------------------------------------------
-    # zero-copy array windows (the large-message datapath)
+    # zero-copy array windows (every contiguous message)
 
     def _window(
         self,
@@ -231,24 +241,19 @@ class Comm(AttributeMixin):
 
         Returns an :class:`ArraySendWindow` (or, if *writable*, an
         :class:`ArrayRecvWindow`) aliasing the user's array, or None to
-        use the packed path.  Windows are worth it only above the eager
-        threshold, and the gate is *rank-consistent per message leg*:
-        both ends see the same count/datatype/threshold, so sender and
-        receiver agree on eligibility except for per-rank buffer quirks
-        (non-contiguous array, dtype mismatch) — and a window on one
-        side interoperates with a packed buffer on the other, so even
-        then nothing breaks, one side just copies.
+        use the packed path.  Every C-contiguous, dtype-exact array on
+        a protocol-engine device takes a window, whatever its size: an
+        8-byte message skips the pool and the pack/unpack copies just
+        as a 16 MiB one does, while the eager threshold still picks
+        eager or rendezvous below.  Sender and receiver may still
+        disagree (non-contiguous array, dtype mismatch) — a window on
+        one side interoperates with a packed buffer on the other, so
+        nothing breaks, one side just copies.
         """
-        if count <= 0 or not isinstance(buf, np.ndarray):
-            return None
-        engine = self._engine
-        if engine is None:
+        if count <= 0 or self._engine is None or not isinstance(buf, np.ndarray):
             return None
         if datatype is None:
             datatype = datatype_for(buf)
-        # The size test first: it turns away every small message.
-        if SECTION_OVERHEAD + datatype.packed_size(count) <= engine.eager_threshold:
-            return None
         if datatype.base_dtype is None or datatype.extent != datatype.block_count:
             return None
         if isinstance(datatype, BasicType):
@@ -263,23 +268,25 @@ class Comm(AttributeMixin):
             basic = datatype.basic
         else:
             return None
-        base_np = np.dtype(datatype.base_dtype)
+        base_np = datatype.base_dtype
         base_count = count * datatype.block_count
-        if not buf.flags.c_contiguous:
+        flags = buf.flags
+        if not flags.c_contiguous or (writable and not flags.writeable):
             return None
-        if writable and not buf.flags.writeable:
-            return None
-        flat = buf.reshape(-1)
-        if flat.dtype != base_np and not (
-            flat.dtype.kind in "iu"
+        dtype = buf.dtype
+        if dtype != base_np and not (
+            dtype.kind in "iu"
             and base_np.kind in "iu"
-            and flat.dtype.itemsize == base_np.itemsize
+            and dtype.itemsize == base_np.itemsize
         ):
             return None
-        if offset < 0 or offset + base_count > flat.size:
+        if offset < 0 or offset + base_count > buf.size:
             return None  # let the packed path raise the precise error
+        itemsize = dtype.itemsize
         try:
-            view = memoryview(flat[offset : offset + base_count]).cast("B")
+            view = memoryview(buf).cast("B")[
+                offset * itemsize : (offset + base_count) * itemsize
+            ]
         except (TypeError, ValueError, BufferError):
             return None
         if writable:
@@ -290,6 +297,34 @@ class Comm(AttributeMixin):
 
     # ------------------------------------------------------------------
     # uppercase point-to-point (array data, mpijava signatures)
+
+    def _post_send(
+        self,
+        buf: Any,
+        offset: int,
+        count: int,
+        datatype: Optional[Datatype],
+        dest: int,
+        tag: int,
+        context: Optional[int],
+        mode: str,
+    ) -> tuple[DevRequest, Optional[Buffer]]:
+        """Validate and start a send: the device request, and the
+        pooled message it owns (None when a window sends the array)."""
+        self._check_live()
+        self._check_rank(dest)
+        self._check_tag(tag)
+        ctx = self._context_pt2pt if context is None else context
+        if mode != "buffered":
+            window = self._window(buf, offset, count, datatype, writable=False)
+            if window is not None:
+                return self._devcomm.post_send(window, dest, tag, ctx, mode), None
+        message, datatype = self._pack(buf, offset, count, datatype)
+        try:
+            return self._devcomm.post_send(message, dest, tag, ctx, mode), message
+        except BaseException:
+            message.free()
+            raise
 
     def Isend(
         self,
@@ -305,25 +340,16 @@ class Comm(AttributeMixin):
     ) -> MPIRequest:
         """Non-blocking standard-mode send.
 
-        Large contiguous arrays are sent from the user's memory (see
+        Contiguous arrays are sent from the user's memory (see
         :meth:`_window`), except in buffered mode, which must snapshot
         the data at call time.
         """
-        self._check_live()
-        self._check_rank(dest)
-        self._check_tag(tag)
-        ctx = self._context_pt2pt if context is None else context
-        if mode != "buffered":
-            window = self._window(buf, offset, count, datatype, writable=False)
-            if window is not None:
-                inner = self._devcomm.isend(window, dest, tag, ctx, mode=mode)
-                return self._request(inner, MPIStatus)
-        message, datatype = self._pack(buf, offset, count, datatype)
-        try:
-            inner = self._devcomm.isend(message, dest, tag, ctx, mode=mode)
-        except BaseException:
-            message.free()
-            raise
+        request, message = self._post_send(
+            buf, offset, count, datatype, dest, tag, context, mode
+        )
+        inner = RankRequest(request, self._devcomm)
+        if message is None:
+            return self._request(inner, MPIStatus)
         return self._request(
             inner, self._send_finisher(message), cleanup=message.free
         )
@@ -339,8 +365,17 @@ class Comm(AttributeMixin):
         *,
         context: Optional[int] = None,
     ) -> None:
-        """Blocking standard-mode send."""
-        self.Isend(buf, offset, count, datatype, dest, tag, context=context).wait()
+        """Blocking standard-mode send.
+
+        Waits on the device request itself: no :class:`MPIRequest`,
+        finisher or status is built for a result nobody reads.
+        """
+        request, message = self._post_send(
+            buf, offset, count, datatype, dest, tag, context, "standard"
+        )
+        self._reap(request, message)
+        if message is not None:
+            message.free()
 
     def Issend(
         self,
@@ -372,6 +407,38 @@ class Comm(AttributeMixin):
     def Bsend(self, buf: Any, offset: int, count: int, datatype: Optional[Datatype], dest: int, tag: int) -> None:
         self.Ibsend(buf, offset, count, datatype, dest, tag).wait()
 
+    def _post_recv(
+        self,
+        buf: Any,
+        offset: int,
+        count: int,
+        datatype: Optional[Datatype],
+        source: int,
+        tag: int,
+        context: Optional[int],
+    ) -> tuple[DevRequest, Buffer, Datatype]:
+        """Validate and post a receive: the device request, what it
+        lands in (an :class:`ArrayRecvWindow` or a pooled message) and
+        the resolved datatype."""
+        self._check_live()
+        self._check_rank(source, wildcard=True)
+        self._check_tag(tag, wildcard=True)
+        if datatype is None:
+            if not isinstance(buf, np.ndarray):
+                raise MPIException("datatype may be omitted only for numpy arrays")
+            datatype = datatype_for(buf)
+        ctx = self._context_pt2pt if context is None else context
+        window = self._window(buf, offset, count, datatype, writable=True)
+        if window is not None:
+            return self._devcomm.post_recv(window, source, tag, ctx), window, datatype
+        message = self._pool.acquire(datatype.packed_size(count) + _SLACK)
+        try:
+            request = self._devcomm.post_recv(message, source, tag, ctx)
+        except BaseException:
+            message.free()
+            raise
+        return request, message, datatype
+
     def Irecv(
         self,
         buf: Any,
@@ -385,38 +452,25 @@ class Comm(AttributeMixin):
     ) -> MPIRequest:
         """Non-blocking receive; *source* may be ``ANY_SOURCE``.
 
-        Large contiguous arrays are received in place (see
-        :meth:`_window`): every device lands the payload straight in
-        the user's memory.
+        Contiguous arrays are received in place (see :meth:`_window`):
+        every device lands the payload straight in the user's memory.
         """
-        self._check_live()
-        self._check_rank(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
-        if datatype is None:
-            if not isinstance(buf, np.ndarray):
-                raise MPIException("datatype may be omitted only for numpy arrays")
-            datatype = datatype_for(buf)
-        ctx = self._context_pt2pt if context is None else context
-        window = self._window(buf, offset, count, datatype, writable=True)
-        if window is not None:
-            inner = self._devcomm.irecv(window, source, tag, ctx)
+        request, landing, datatype = self._post_recv(
+            buf, offset, count, datatype, source, tag, context
+        )
+        inner = RankRequest(request, self._devcomm)
+        if isinstance(landing, ArrayRecvWindow):
             block = datatype.block_count
             return self._request(
                 inner,
                 lambda dev_status: MPIStatus(
-                    dev_status, count=window.landed_count // block
+                    dev_status, count=landing.landed_count // block
                 ),
             )
-        message = self._pool.acquire(datatype.packed_size(count) + _SLACK)
-        try:
-            inner = self._devcomm.irecv(message, source, tag, ctx)
-        except BaseException:
-            message.free()
-            raise
         return self._request(
             inner,
-            self._recv_finisher(message, buf, offset, count, datatype),
-            cleanup=message.free,
+            self._recv_finisher(landing, buf, offset, count, datatype),
+            cleanup=landing.free,
         )
 
     def Recv(
@@ -430,10 +484,20 @@ class Comm(AttributeMixin):
         *,
         context: Optional[int] = None,
     ) -> MPIStatus:
-        """Blocking receive."""
-        return self.Irecv(
-            buf, offset, count, datatype, source, tag, context=context
-        ).wait()
+        """Blocking receive; reaps the device request like :meth:`Send`."""
+        request, landing, datatype = self._post_recv(
+            buf, offset, count, datatype, source, tag, context
+        )
+        if isinstance(landing, ArrayRecvWindow):
+            status = self._reap(request)
+            received = landing.landed_count // datatype.block_count
+        else:
+            status = self._reap(request, landing)
+            try:
+                received = datatype.unpack(landing, buf, offset, count)
+            finally:
+                landing.free()
+        return MPIStatus(self._devcomm.translate(status), count=received)
 
     def Sendrecv(
         self,

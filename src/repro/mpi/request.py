@@ -29,6 +29,25 @@ from repro.mpjdev.waitany import waitany as dev_waitany
 _MISMATCH_ERRORS = {"count": CountMismatchError, "type": DatatypeError}
 
 
+def raise_failure(
+    exc: RequestFailedError, cleanup: Optional[Callable[[], None]] = None
+) -> NoReturn:
+    """Raise what an MPI caller sees for a failed device request.
+
+    *cleanup* runs first: it returns the pooled message the failed
+    operation owned.  A message the posted receive window rejected
+    raises the same :class:`CountMismatchError` or
+    :class:`DatatypeError` as the packed path's unpack, whatever the
+    message size; every other failure re-raises *exc*.
+    """
+    if cleanup is not None:
+        cleanup()
+    cause = exc.__cause__
+    if isinstance(cause, ReceiveMismatchError):
+        raise _MISMATCH_ERRORS[cause.kind](str(cause)) from cause
+    raise exc
+
+
 class MPIRequest:
     """A pending MPI operation.
 
@@ -79,26 +98,12 @@ class MPIRequest:
             cleanup, self._cleanup = self._cleanup, None
         cleanup()
 
-    def _failed(self, exc: RequestFailedError) -> NoReturn:
-        """Clean up a failed request and raise what the caller sees.
-
-        A message the posted receive window rejected raises the same
-        :class:`CountMismatchError` or :class:`DatatypeError` as the
-        packed path's unpack, whatever the message size; every other
-        failure re-raises *exc*.
-        """
-        self._on_failure()
-        cause = exc.__cause__
-        if isinstance(cause, ReceiveMismatchError):
-            raise _MISMATCH_ERRORS[cause.kind](str(cause)) from cause
-        raise exc
-
     def wait(self, timeout: Optional[float] = None) -> MPIStatus:
         """Block until complete; returns the MPI status."""
         try:
             dev_status = self.inner.wait(timeout=timeout)
         except RequestFailedError as exc:
-            self._failed(exc)
+            raise_failure(exc, self._on_failure)
         return self._finish(dev_status)
 
     def test(self) -> Optional[MPIStatus]:
@@ -106,7 +111,7 @@ class MPIRequest:
         try:
             dev_status = self.inner.test()
         except RequestFailedError as exc:
-            self._failed(exc)
+            raise_failure(exc, self._on_failure)
         return self._finish(dev_status) if dev_status is not None else None
 
     # mpijava spellings

@@ -51,10 +51,10 @@ class RankRequest:
 
     def test(self) -> Optional[Status]:
         status = self.inner.test()
-        return self._comm._translate(status) if status is not None else None
+        return self._comm.translate(status) if status is not None else None
 
     def wait(self, timeout: Optional[float] = None) -> Status:
-        return self._comm._translate(self.inner.wait(timeout=timeout))
+        return self._comm.translate(self.inner.wait(timeout=timeout))
 
     def add_completion_listener(self, fn) -> None:
         self.inner.add_completion_listener(lambda _req: fn(self))
@@ -112,7 +112,7 @@ class MPJDevComm:
     # ------------------------------------------------------------------
     # status translation
 
-    def _translate(self, status: Status) -> Status:
+    def translate(self, status: Status) -> Status:
         """Rewrite the xdev-level source ProcessID into a rank (idempotent)."""
         if isinstance(status.source, ProcessID):
             status.source = self._uid_to_rank.get(status.source.uid, ANY_SOURCE)
@@ -121,18 +121,26 @@ class MPJDevComm:
     # ------------------------------------------------------------------
     # point-to-point, rank-addressed
 
-    def isend(self, buf: Buffer, dest: int, tag: int, context: int, mode: str = "standard") -> RankRequest:
+    def post_send(
+        self, buf: Buffer, dest: int, tag: int, context: int, mode: str = "standard"
+    ) -> Request:
+        """Start a send; returns the device's own request.
+
+        A send's Status names no peer to translate, so a caller that
+        only waits for it (a blocking send) needs no RankRequest.
+        """
         engine = getattr(self.device, "engine", None)
         if mode not in ("standard", "sync") and engine is not None:
-            inner = engine.isend(buf, self.pid_of(dest), tag, context, mode=mode)
-        elif mode == "sync":
-            inner = self.device.issend(buf, self.pid_of(dest), tag, context)
-        else:
-            inner = self.device.isend(buf, self.pid_of(dest), tag, context)
-        return RankRequest(inner, self)
+            return engine.isend(buf, self.pid_of(dest), tag, context, mode=mode)
+        if mode == "sync":
+            return self.device.issend(buf, self.pid_of(dest), tag, context)
+        return self.device.isend(buf, self.pid_of(dest), tag, context)
+
+    def isend(self, buf: Buffer, dest: int, tag: int, context: int, mode: str = "standard") -> RankRequest:
+        return RankRequest(self.post_send(buf, dest, tag, context, mode), self)
 
     def send(self, buf: Buffer, dest: int, tag: int, context: int) -> None:
-        self.isend(buf, dest, tag, context).wait()
+        self.post_send(buf, dest, tag, context).wait()
 
     def issend(self, buf: Buffer, dest: int, tag: int, context: int) -> RankRequest:
         return RankRequest(self.device.issend(buf, self.pid_of(dest), tag, context), self)
@@ -140,21 +148,27 @@ class MPJDevComm:
     def ssend(self, buf: Buffer, dest: int, tag: int, context: int) -> None:
         self.issend(buf, dest, tag, context).wait()
 
-    def irecv(self, buf: Buffer, src: int, tag: int, context: int) -> RankRequest:
+    def post_recv(self, buf: Buffer, src: int, tag: int, context: int) -> Request:
+        """Post a receive; returns the device's own request, whose
+        Status source is a ProcessID until passed through
+        :meth:`translate`."""
         pid: ProcessID | int = ANY_SOURCE if src == ANY_SOURCE else self.pid_of(src)
-        return RankRequest(self.device.irecv(buf, pid, tag, context), self)
+        return self.device.irecv(buf, pid, tag, context)
+
+    def irecv(self, buf: Buffer, src: int, tag: int, context: int) -> RankRequest:
+        return RankRequest(self.post_recv(buf, src, tag, context), self)
 
     def recv(self, buf: Buffer, src: int, tag: int, context: int) -> Status:
-        return self.irecv(buf, src, tag, context).wait()
+        return self.translate(self.post_recv(buf, src, tag, context).wait())
 
     def iprobe(self, src: int, tag: int, context: int) -> Optional[Status]:
         pid: ProcessID | int = ANY_SOURCE if src == ANY_SOURCE else self.pid_of(src)
         status = self.device.iprobe(pid, tag, context)
-        return self._translate(status) if status is not None else None
+        return self.translate(status) if status is not None else None
 
     def probe(self, src: int, tag: int, context: int) -> Status:
         pid: ProcessID | int = ANY_SOURCE if src == ANY_SOURCE else self.pid_of(src)
-        return self._translate(self.device.probe(pid, tag, context))
+        return self.translate(self.device.probe(pid, tag, context))
 
     def peek(self) -> Request:
         return self.device.peek()

@@ -11,6 +11,11 @@ channels the paper relies on:
 * the per-request ``waitany`` reference used by the multi-threaded
   ``Waitany()`` implementation ("each Request object stores a
   reference to WaitAny object ... otherwise the reference is null").
+
+Every message builds a Request, so it carries no condition variable: a
+plain lock guards the flip, and a thread that actually blocks in
+:meth:`Request.wait` parks on a lock of its own, allocated then —
+what ``threading.Condition.wait`` does internally anyway.
 """
 
 from __future__ import annotations
@@ -59,12 +64,17 @@ class Request:
     """A pending or completed communication operation.
 
     The completion protocol: the device calls :meth:`complete` exactly
-    once; every listener registered with :meth:`add_completion_listener`
-    runs on the completing thread *after* the request is marked done,
-    and blocked waiters are then woken.  A request that can never
-    complete (payload corrupt, peer gone) is flipped with :meth:`fail`
-    instead, which wakes waiters with :class:`RequestFailedError`
-    rather than leaving them blocked forever.
+    once.  On the completing thread, *after* the request is marked
+    done, the *hook* given at construction runs, then every listener
+    registered with :meth:`add_completion_listener`, and blocked
+    waiters are woken last.  A request that can never complete
+    (payload corrupt, peer gone) is flipped with :meth:`fail` instead,
+    which wakes waiters with :class:`RequestFailedError` rather than
+    leaving them blocked forever.
+
+    ``done`` and ``test`` read the done flag without locking: it is
+    written after the status and the failure cause, so a reader that
+    sees it set sees them too.
     """
 
     SEND = "send"
@@ -73,10 +83,12 @@ class Request:
     __slots__ = (
         "kind",
         "buffer",
-        "_cond",
+        "_lock",
+        "_waiters",
         "_status",
         "_done",
         "_exc",
+        "_hook",
         "_listeners",
         "waitany_ref",
         "context",
@@ -94,14 +106,25 @@ class Request:
     # every user thread would otherwise still serialize on.
     _seq = itertools.count(1)
 
-    def __init__(self, kind: str, buffer: Any = None) -> None:
+    def __init__(
+        self,
+        kind: str,
+        buffer: Any = None,
+        hook: Optional[Callable[["Request"], None]] = None,
+    ) -> None:
         self.kind = kind
         self.buffer = buffer
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: One parked lock per thread blocked in :meth:`wait`; None
+        #: while nobody blocks, which is the common case.
+        self._waiters: Optional[list] = None
         self._status: Optional[Status] = None
-        self._done = False
         self._exc: Optional[BaseException] = None
-        self._listeners: list[Callable[["Request"], None]] = []
+        self._done = False
+        #: The owner's completion hook (the protocol engine's), set
+        #: here so the hot path never takes the listener lock.
+        self._hook = hook
+        self._listeners: Optional[list[Callable[["Request"], None]]] = None
         #: WaitAny object this request participates in, else None
         #: (paper Section IV-E.1).
         self.waitany_ref: Any = None
@@ -123,17 +146,34 @@ class Request:
     # ------------------------------------------------------------------
     # completion (device side)
 
+    def _settle(
+        self, status: Optional[Status], exc: Optional[BaseException]
+    ) -> bool:
+        """Flip to done exactly once; False if already done."""
+        with self._lock:
+            if self._done:
+                return False
+            self._status = status
+            self._exc = exc
+            self._done = True
+            listeners, self._listeners = self._listeners, None
+            waiters, self._waiters = self._waiters, None
+        try:
+            if self._hook is not None:
+                self._hook(self)
+            if listeners:
+                for listener in listeners:
+                    listener(self)
+        finally:
+            if waiters:
+                for waiter in waiters:
+                    waiter.release()
+        return True
+
     def complete(self, status: Status) -> None:
         """Mark this request complete with *status* (called once)."""
-        with self._cond:
-            if self._done:
-                raise RuntimeError("request completed twice")
-            self._status = status
-            self._done = True
-            listeners = list(self._listeners)
-            self._cond.notify_all()
-        for listener in listeners:
-            listener(self)
+        if not self._settle(status, None):
+            raise RuntimeError("request completed twice")
 
     def try_complete(self, status: Status) -> bool:
         """Complete if still pending; False when already done.
@@ -142,44 +182,26 @@ class Request:
         once, but an idempotent completion keeps a misbehaving
         (fault-injecting) transport from crashing the input handler.
         """
-        with self._cond:
-            if self._done:
-                return False
-            self._status = status
-            self._done = True
-            listeners = list(self._listeners)
-            self._cond.notify_all()
-        for listener in listeners:
-            listener(self)
-        return True
+        return self._settle(status, None)
 
     def fail(self, exc: BaseException) -> None:
         """Mark this request failed with *exc* (called at most once).
 
-        Waiters wake with :class:`RequestFailedError`; completion
-        listeners still run (so peek queues and Waitany callers learn
-        about the failure instead of sleeping forever).
+        Waiters wake with :class:`RequestFailedError`; the hook and
+        completion listeners still run (so peek queues and Waitany
+        callers learn about the failure instead of sleeping forever).
         """
-        with self._cond:
-            if self._done:
-                raise RuntimeError("request completed twice")
-            self._exc = exc
-            self._done = True
-            listeners = list(self._listeners)
-            self._cond.notify_all()
-        for listener in listeners:
-            listener(self)
+        if not self._settle(None, exc):
+            raise RuntimeError("request completed twice")
 
     @property
     def failed(self) -> bool:
-        with self._cond:
-            return self._exc is not None
+        return self._exc is not None
 
     @property
     def error(self) -> Optional[BaseException]:
         """The failure cause, or None if pending/completed."""
-        with self._cond:
-            return self._exc
+        return self._exc
 
     def _raise_failure(self) -> None:
         raise RequestFailedError(
@@ -194,22 +216,21 @@ class Request:
         the calling thread — registration can therefore never miss a
         completion.
         """
-        run_now = False
-        with self._cond:
-            if self._done:
-                run_now = True
-            else:
-                self._listeners.append(fn)
-        if run_now:
-            fn(self)
+        with self._lock:
+            if not self._done:
+                if self._listeners is None:
+                    self._listeners = [fn]
+                else:
+                    self._listeners.append(fn)
+                return
+        fn(self)
 
     # ------------------------------------------------------------------
     # completion (user side)
 
     @property
     def done(self) -> bool:
-        with self._cond:
-            return self._done
+        return self._done
 
     def test(self) -> Optional[Status]:
         """Non-blocking completion check: Status if done, else None.
@@ -218,27 +239,48 @@ class Request:
         poll loop must not spin forever on an operation that can never
         complete.
         """
-        with self._cond:
-            if self._exc is not None:
-                self._raise_failure()
-            return self._status if self._done else None
+        if not self._done:
+            return None
+        if self._exc is not None:
+            self._raise_failure()
+        return self._status
 
     def wait(self, timeout: Optional[float] = None) -> Status:
         """Block until complete and return the Status.
 
         Raises :class:`TimeoutError` if *timeout* (seconds) elapses —
-        a safety valve the Java original lacks, invaluable in tests.
+        a safety valve the Java original lacks, invaluable in tests —
+        and leaves no waiter behind.
         """
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._done, timeout=timeout):
-                raise TimeoutError(
-                    f"{self.kind} request (tag={self.tag}, peer={self.peer}) "
-                    f"did not complete within {timeout}s"
-                )
-            if self._exc is not None:
-                self._raise_failure()
-            assert self._status is not None
-            return self._status
+        if not self._done:
+            self._block(timeout)
+        if self._exc is not None:
+            self._raise_failure()
+        return self._status  # type: ignore[return-value]
+
+    def _block(self, timeout: Optional[float]) -> None:
+        with self._lock:
+            if self._done:
+                return
+            waiter = threading.Lock()
+            waiter.acquire()
+            if self._waiters is None:
+                self._waiters = [waiter]
+            else:
+                self._waiters.append(waiter)
+        if timeout is None:
+            waiter.acquire()
+            return
+        if waiter.acquire(timeout=max(0.0, timeout)):
+            return
+        with self._lock:
+            if self._done:
+                return  # completed as the wait gave up: not a timeout
+            self._waiters.remove(waiter)
+        raise TimeoutError(
+            f"{self.kind} request (tag={self.tag}, peer={self.peer}) "
+            f"did not complete within {timeout}s"
+        )
 
     # mpijava spelling
     Wait = wait

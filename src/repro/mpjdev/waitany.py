@@ -20,10 +20,15 @@ computation that might be running in parallel".  Instead:
      for it; ignore it and keep peeking.
 
 One addition over the paper's prose: after publishing ``waitany_ref``
-on its requests, a WaitAny re-tests them.  This closes the race in
-which a request completed (and was drained from the peek queue by a
-concurrent Waitany) *before* the reference was published — scenario 3
-would silently discard it and the caller would sleep forever.
+on its requests, a WaitAny re-tests them.  The protocol engine records
+a completion for ``peek()`` only if, when it completes, the request
+carries a ``waitany_ref`` or a thread is blocked in ``peek()``; a
+request that completed *before* the reference was published was
+therefore never recorded (or was discarded under scenario 3 by a
+concurrent peeker), and without the re-test the caller would sleep
+forever.  The completing thread flips the request to done before it
+reads the reference, so either it sees the reference and records the
+completion, or the re-test sees it done.
 """
 
 from __future__ import annotations

@@ -272,6 +272,10 @@ class TracingDevice(Device):
         return status
 
     def peek(self, timeout: float | None = None) -> Request:
+        """Delegate and record; the inner device's peek contract holds
+        (see :meth:`Device.peek`): only a completion whose request
+        belonged to a ``Waitany``, or that happened while a thread was
+        blocked in peek(), is returned."""
         event = self._record("peek")
         try:
             request = self.inner.peek(timeout=timeout)

@@ -60,8 +60,9 @@ class CompletionShards:
     uncontended lock — plus, *only when someone is blocked in peek*, a
     shared notification condition.  Entries carry a global sequence
     number so ``pop_latest`` can preserve the paper's LIFO "most
-    recently completed" contract across shards, and ``drain`` can
-    return requests in true completion order.
+    recently completed" contract across shards.  The engine pushes only
+    completions someone can ask for (see :attr:`watched`), so the store
+    holds parked ``Waitany`` completions, not a history.
 
     The peek/push handshake is lost-wakeup safe without holding any
     shard lock while waiting: a waiter registers itself, samples the
@@ -83,6 +84,11 @@ class CompletionShards:
         self._cond = threading.Condition()
         self._pushes = 0
         self._waiters = 0
+
+    @property
+    def watched(self) -> bool:
+        """True while a thread is blocked in :meth:`pop_latest`."""
+        return self._waiters > 0
 
     def push(self, request: Request, endpoint: int = 0) -> None:
         i = endpoint % self.n
@@ -138,16 +144,6 @@ class CompletionShards:
         finally:
             with self._cond:
                 self._waiters -= 1
-
-    def drain(self) -> list[Request]:
-        """Remove and return everything, in completion order."""
-        entries: list[tuple[int, Request]] = []
-        for i in range(self.n):
-            with self._locks[i]:
-                entries.extend(self._queues[i])
-                self._queues[i].clear()
-        entries.sort(key=lambda e: e[0])
-        return [request for _, request in entries]
 
     def __len__(self) -> int:
         total = 0

@@ -204,4 +204,11 @@ class Device(abc.ABC):
         Used by mpjdev to implement a non-polling ``Waitany``.  The
         *timeout* (seconds) is a reproduction-side safety valve; the
         paper's peek blocks indefinitely.
+
+        The contract: a completion is visible to peek() iff, when it
+        happened, its request belonged to a ``Waitany`` (carried a
+        ``waitany_ref``) or a thread was blocked in peek().  Devices
+        may record more — the seed's single-queue devices (mxdev,
+        ibisdev) record everything — but the protocol engine records
+        exactly that, so completions nobody can ask for never pile up.
         """

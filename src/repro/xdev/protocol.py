@@ -350,11 +350,11 @@ class ProtocolEngine:
         if self._finished:
             raise DeviceFinishedError("device has been finished")
 
-    def _track(self, request: Request) -> Request:
-        """Register *request* with the completed-queue for peek()."""
+    def _new_request(self, kind: str, buf: Buffer) -> Request:
+        """A request whose completion runs :meth:`_on_complete`."""
+        request = Request(kind, buffer=buf, hook=self._on_complete)
         if self._metrics_on:
             request.t_post = time.monotonic()
-        request.add_completion_listener(self._on_complete)
         return request
 
     def _on_complete(self, request: Request) -> None:
@@ -365,7 +365,13 @@ class ProtocolEngine:
             else:
                 self._h_recv_latency.observe(latency_us)
         self._stats["completions"].inc()
-        self._completions.push(request, request.endpoint)
+        # The paper's peek() serves Waitany: record a completion only
+        # when a Waitany holds the request or a thread is blocked in
+        # peek(), never for nobody.  WaitAnyQueue publishes its refs
+        # before it re-tests, so a completion that reads no ref here
+        # is one that re-test sees.
+        if request.waitany_ref is not None or self._completions.watched:
+            self._completions.push(request, request.endpoint)
 
     def _write(
         self,
@@ -402,7 +408,7 @@ class ProtocolEngine:
         segments = buf.segments()
         wire_len = WIRE_HEADER_SIZE + buf.size
 
-        request = self._track(Request(Request.SEND, buffer=buf))
+        request = self._new_request(Request.SEND, buf)
         request.context, request.tag, request.peer = context, tag, dest
         ep = self._binding.current()
         request.endpoint = ep
@@ -531,7 +537,7 @@ class ProtocolEngine:
         """Non-blocking receive; *src* may be ``ANY_SOURCE``."""
         self._check_live()
         src_uid = src.uid if isinstance(src, ProcessID) else int(src)
-        request = self._track(Request(Request.RECV, buffer=buf))
+        request = self._new_request(Request.RECV, buf)
         request.context, request.tag, request.peer = context, tag, src
         request.endpoint = self._binding.current()
 
@@ -655,9 +661,14 @@ class ProtocolEngine:
         self._stats["failed_deliveries"].inc()
         if self.tracer is not None:
             self.tracer.emit("recv.fail", id=request.trace_id)
+        if isinstance(exc, ReceiveMismatchError):
+            # The request keeps the error for its waiter; its traceback
+            # would keep this delivery's frames, and with them views of
+            # transport memory (procdev's shared rings), alive too.
+            request.fail(exc.with_traceback(None))
+            return
         request.fail(exc)
-        if not isinstance(exc, ReceiveMismatchError):
-            raise exc
+        raise exc
 
     def _release_message_storage(self, msg: ArrivedMessage) -> None:
         """Return an unexpected message's pooled scratch, if it has any."""
@@ -723,7 +734,7 @@ class ProtocolEngine:
         """Receive a message claimed by :meth:`improbe`/:meth:`mprobe`."""
         self._check_live()
         msg = match.consume()
-        request = self._track(Request(Request.RECV, buffer=buf))
+        request = self._new_request(Request.RECV, buf)
         request.context, request.tag = msg.context, msg.tag
         request.peer = msg.src_pid
         request.endpoint = self._binding.current()
@@ -748,13 +759,13 @@ class ProtocolEngine:
         """Block until a request completes; return the most recent one.
 
         "The peek() method returns the most recently completed Request
-        object" (Section III-A) — hence the pop from the right.
+        object" (Section III-A) — hence the pop from the right.  A
+        completion is visible to peek() iff, when it happened, its
+        request belonged to a ``Waitany`` or a thread was blocked in
+        peek(); no other completion is recorded, so nothing piles up
+        for a peek that never comes.
         """
         return self._completions.pop_latest(timeout=timeout)
-
-    def drain_completed(self) -> list[Request]:
-        """Remove and return all queued completed requests (tests)."""
-        return self._completions.drain()
 
     # ------------------------------------------------------------------
     # inbound frames — called by the transport's delivering thread

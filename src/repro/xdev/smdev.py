@@ -123,7 +123,7 @@ class SMTransport(Transport):
         finally:
             with self._cond:
                 self._inflight -= 1
-                if not self._inflight:
+                if self._closed and not self._inflight:
                     self._cond.notify_all()
 
     def introspect(self) -> dict:

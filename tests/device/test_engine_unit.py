@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer
+from repro.mpjdev.waitany import WaitAny
 from repro.xdev.frames import FrameHeader, FrameType, HEADER_SIZE
 from repro.xdev.processid import ProcessID
 from repro.xdev.protocol import ProtocolEngine, Transport
@@ -155,18 +156,26 @@ class TestRendezvousProtocol:
 
 
 class TestPeekQueue:
-    def test_drain_completed(self, rig):
-        ea, _eb, _ta, _tb, (pa, pb) = rig
-        ea.isend(small_buffer(), pb, 1, 0)
-        ea.isend(small_buffer(), pb, 2, 0)
-        done = ea.drain_completed()
-        assert [r.tag for r in done] == [1, 2]
-        with pytest.raises(TimeoutError):
-            ea.peek(timeout=0.01)
+    """peek() sees a completion iff, when it happened, its request
+    belonged to a Waitany or a thread was blocked in peek()."""
 
     def test_peek_lifo(self, rig):
+        ea, eb, ta, _tb, (pa, pb) = rig
+        reqs = [eb.irecv(Buffer(), pa, tag, 0) for tag in (1, 2)]
+        parked = WaitAny(reqs)
+        for r in reqs:
+            r.waitany_ref = parked
+        for tag in (1, 2):
+            ea.isend(small_buffer(), pb, tag, 0)
+            deliver(eb, pa, ta.pop())
+        assert eb.peek(timeout=1).tag == 2
+        assert eb.peek(timeout=1).tag == 1
+
+    def test_unobserved_completions_are_not_recorded(self, rig):
         ea, _eb, _ta, _tb, (pa, pb) = rig
         ea.isend(small_buffer(), pb, 1, 0)
         ea.isend(small_buffer(), pb, 2, 0)
-        assert ea.peek(timeout=1).tag == 2
-        assert ea.peek(timeout=1).tag == 1
+        assert ea.stats["completions"] == 2
+        assert ea.introspect_queues()["completed_backlog"] == 0
+        with pytest.raises(TimeoutError):
+            ea.peek(timeout=0.01)

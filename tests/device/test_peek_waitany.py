@@ -1,12 +1,16 @@
 """Tests for the device peek() and the WaitAny machinery (paper IV-E.1)."""
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import mpi
 from repro.buffer import Buffer
-from repro.mpjdev.waitany import WaitAnyQueue, waitany
+from repro.mpjdev.waitany import WaitAny, WaitAnyQueue, waitany
+from repro.runtime.launcher import run_spmd
 from repro.testing import wait_until
 
 
@@ -16,11 +20,20 @@ def send_buffer(value):
     return buf
 
 
+def park(*requests):
+    """Make *requests* belong to a Waitany, as ``WaitAnyQueue`` does
+    before it tests them: their completions become visible to peek()."""
+    parked = WaitAny(requests)
+    for r in requests:
+        r.waitany_ref = parked
+
+
 class TestPeek:
     def test_peek_returns_completed_request(self, job2):
         devs, pids = job2
         rbuf = Buffer()
         rreq = devs[1].irecv(rbuf, pids[0], 1, 0)
+        park(rreq)
         devs[0].send(send_buffer(1), pids[1], 1, 0)
         rreq.wait(timeout=10)
         assert devs[1].peek(timeout=5) is rreq
@@ -54,6 +67,7 @@ class TestPeek:
         bufs = [Buffer(), Buffer()]
         r0 = devs[1].irecv(bufs[0], pids[0], 10, 0)
         r1 = devs[1].irecv(bufs[1], pids[0], 11, 0)
+        park(r0, r1)
         devs[0].send(send_buffer(0), pids[1], 10, 0)
         r0.wait(timeout=10)
         devs[0].send(send_buffer(1), pids[1], 11, 0)
@@ -251,3 +265,42 @@ class TestWaitAny:
         devs[0].send(send_buffer(0), pids[1], 61, 0)
         waitany(devs[1], [req], timeout=10)
         assert req.waitany_ref is None
+
+
+class TestNoBacklog:
+    def test_pingpongs_leave_no_backlog(self):
+        """Completions nobody can peek for are not recorded: 5 000 MPI
+        ping-pongs leave an empty peek store and no memory behind."""
+        pingpongs = 5000
+        growth = {}
+
+        def main(env):
+            comm = env.COMM_WORLD
+            rank = comm.rank()
+            data = np.zeros(8, dtype=np.uint8)
+
+            def pingpong(n):
+                for _ in range(n):
+                    if rank == 0:
+                        comm.Send(data, 0, 8, mpi.BYTE, 1, 1)
+                        comm.Recv(data, 0, 8, mpi.BYTE, 1, 2)
+                    else:
+                        comm.Recv(data, 0, 8, mpi.BYTE, 0, 1)
+                        comm.Send(data, 0, 8, mpi.BYTE, 0, 2)
+
+            pingpong(100)  # pools and caches warm
+            comm.Barrier()
+            if rank == 0:
+                gc.collect()
+                tracemalloc.start()
+            comm.Barrier()
+            pingpong(pingpongs)
+            comm.Barrier()
+            if rank == 0:
+                gc.collect()
+                growth["bytes"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.stop()
+            return env.device.introspect()["completed_backlog"]
+
+        assert run_spmd(main, 2, device="smdev", timeout=120) == [0, 0]
+        assert growth["bytes"] < 1 << 20

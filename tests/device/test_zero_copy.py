@@ -22,7 +22,7 @@ from repro.buffer import Buffer, BufferFormatError
 from repro.buffer.pool import BufferPool, CopyStats, RawPool, size_class
 from repro.mpi.environment import MPJEnvironment
 from repro.mpjdev.request import RequestFailedError
-from repro.testing import ChaosConfig
+from repro.testing import ChaosConfig, wait_until
 from repro.testing.fixtures import make_chaos_job
 from repro.xdev.frames import HEADER, HEADER_SIZE, FrameHeader, FrameType
 
@@ -209,14 +209,19 @@ class TestPublicWindowRoute:
     @pytest.mark.parametrize("packed_side", [0, 1])
     @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
     def test_window_interoperates_with_packed_peer(self, kind, packed_side):
-        # A rank whose eager threshold exceeds the message declines the
-        # window and packs; its peer still sends or lands in place.
+        # A rank whose array is not contiguous declines the window and
+        # packs; its peer still sends or lands in place.
         # Ssend keeps the transfer a rendezvous either way.
         devices, envs = _mpi_job(kind)
         try:
-            devices[packed_side].engine.eager_threshold = 64 * MB
             data = np.arange(N_DOUBLES, dtype=np.float64)
             out = np.zeros(N_DOUBLES)
+            strided = np.zeros(2 * N_DOUBLES)[::2]
+            if packed_side == 0:
+                strided[:] = data
+                data = strided
+            else:
+                out = strided
             before = _acquired(envs)
             _exchange(
                 envs,
@@ -320,6 +325,115 @@ class TestPublicWindowRoute:
                 envs, lambda c: c.Send(data, 0, N_DOUBLES, mpi.DOUBLE, 1, 8), recv
             )
             assert isinstance(failure, RequestFailedError)
+            for env, d in zip(envs, devices):
+                assert env.pool.outstanding == 0
+                assert d.engine.raw_pool.outstanding == 0
+        finally:
+            for d in devices:
+                d.finish()
+
+
+class TestSmallMessageWindows:
+    """8-byte public Send/Recv take the window route too: no pool
+    buffer on either rank, the same status and the same errors."""
+
+    @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
+    def test_pingpong_takes_no_pool_buffer(self, kind):
+        devices, envs = _mpi_job(kind)
+        try:
+            data = np.arange(8, dtype=np.uint8)
+            out = np.zeros(8, dtype=np.uint8)
+            before = _acquired(envs)
+            for tag in (1, 2, 3):
+                status = _exchange(
+                    envs,
+                    lambda c: c.Send(data, 0, 8, mpi.BYTE, 1, tag),
+                    lambda c: c.Recv(out, 0, 8, mpi.BYTE, 0, tag),
+                )
+                assert np.array_equal(out, data)
+                assert status.Get_count(mpi.BYTE) == 8
+            assert _acquired(envs) == before
+        finally:
+            for d in devices:
+                d.finish()
+
+    @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
+    def test_unexpected_message_lands_in_window(self, kind):
+        devices, envs = _mpi_job(kind)
+        try:
+            data = np.array([1.5], dtype=np.float64)
+            out = np.zeros(1)
+            before = _acquired(envs)
+            envs[0].COMM_WORLD.Send(data, 0, 1, mpi.DOUBLE, 1, 4)
+            data[0] = -1.0  # the sender owns its array again once Send returns
+            wait_until(
+                lambda: devices[1].engine.unexpected_count() == 1,
+                message="message staged as unexpected",
+            )
+            status = envs[1].COMM_WORLD.Recv(out, 0, 1, mpi.DOUBLE, 0, 4)
+            assert out[0] == 1.5
+            assert status.Get_count(mpi.DOUBLE) == 1
+            assert _acquired(envs) == before
+            assert devices[1].engine.raw_pool.outstanding == 0
+        finally:
+            for d in devices:
+                d.finish()
+
+    @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
+    def test_larger_posted_count_reports_the_sent_count(self, kind):
+        devices, envs = _mpi_job(kind)
+        try:
+            data = np.arange(1, 9, dtype=np.uint8)
+            out = np.full(16, 255, dtype=np.uint8)
+            status = _exchange(
+                envs,
+                lambda c: c.Send(data, 0, 8, mpi.BYTE, 1, 5),
+                lambda c: c.Recv(out, 0, 16, mpi.BYTE, 0, 5),
+            )
+            assert status.count == 8
+            assert status.Get_count(mpi.BYTE) == 8
+            assert np.array_equal(out[:8], data)
+            assert (out[8:] == 255).all()
+        finally:
+            for d in devices:
+                d.finish()
+
+    @pytest.mark.parametrize("blocking", [True, False])
+    @pytest.mark.parametrize(
+        "mismatch, error",
+        [("count", mpi.CountMismatchError), ("type", mpi.DatatypeError)],
+    )
+    @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
+    def test_mismatch_raises_the_mpi_error(self, kind, mismatch, error, blocking):
+        devices, envs = _mpi_job(kind)
+        try:
+            if mismatch == "count":
+                bad = np.arange(2, dtype=np.float64)
+            else:
+                bad = np.arange(1, dtype=np.int64)
+            data = np.array([2.5])
+            out = np.zeros(1)
+
+            def recv_one(c, tag):
+                if blocking:
+                    return c.Recv(out, 0, 1, mpi.DOUBLE, 0, tag)
+                return c.Irecv(out, 0, 1, mpi.DOUBLE, 0, tag).wait(timeout=30)
+
+            def send(c):
+                c.Send(bad, 0, bad.size, None, 1, 9)
+                c.Send(data, 0, 1, mpi.DOUBLE, 1, 10)
+
+            def recv(c):
+                with pytest.raises(error):
+                    recv_one(c, 9)
+                return recv_one(c, 10)
+
+            status = _exchange(envs, send, recv)
+            assert out[0] == 2.5
+            assert status.Get_count(mpi.DOUBLE) == 1
+            transport = devices[1].engine.transport
+            errors = getattr(transport, "inner", transport).errors
+            assert not [e for e in errors if isinstance(e, BufferFormatError)]
             for env, d in zip(envs, devices):
                 assert env.pool.outstanding == 0
                 assert d.engine.raw_pool.outstanding == 0

@@ -131,12 +131,14 @@ class TestCompletionShards:
             assert cs.pop_latest(timeout=1) is expected
         assert len(cs) == 0
 
-    def test_drain_returns_completion_order(self):
+    def test_pop_latest_reverses_completion_order(self):
+        # Shards interleaved out of endpoint order: the global sequence
+        # numbers, not the shard scan order, decide what pops first.
         cs = CompletionShards(3)
         reqs = [Request(Request.SEND) for _ in range(7)]
         for i, r in enumerate(reqs):
             cs.push(r, endpoint=(i * 2) % 3)
-        assert cs.drain() == reqs
+        assert [cs.pop_latest(timeout=1) for _ in reqs] == reqs[::-1]
 
     def test_pop_latest_times_out(self):
         cs = CompletionShards(2)
@@ -164,7 +166,8 @@ class TestCompletionShards:
         cs.push(Request(Request.SEND), endpoint=0)
         cs.push(Request(Request.SEND), endpoint=1)
         assert cs.depths() == [2, 1]
-        cs.drain()
+        for _ in range(3):
+            cs.pop_latest(timeout=1)
         assert cs.depths() == [0, 0]
         assert cs.totals() == [2, 1]
 

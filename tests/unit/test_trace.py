@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer
+from repro.testing import wait_until
 from repro.trace import TracingDevice
 from tests.conftest import make_job
 
@@ -24,6 +25,18 @@ def send_buffer(arr):
     buf = Buffer(capacity=arr.nbytes + 64)
     buf.write(arr)
     return buf
+
+
+def blocked_peeker(traced):
+    """A thread blocked in ``traced.peek()``: completions from now on
+    are visible to it (the peek contract).  Returns (thread, box)."""
+    box = {}
+    t = threading.Thread(
+        target=lambda: box.setdefault("req", traced.peek(timeout=10)), daemon=True
+    )
+    t.start()
+    wait_until(lambda: traced.engine._completions.watched, message="peeker blocked")
+    return t, box
 
 
 class TestRecording:
@@ -137,9 +150,11 @@ class TestRecording:
 
     def test_peek_recorded(self, traced_pair):
         traced, pids = traced_pair
+        peeker, box = blocked_peeker(traced[1])
         traced[0].send(send_buffer(np.array([1], dtype=np.int8)), pids[1], 1, 0)
         traced[1].recv(Buffer(), pids[0], 1, 0)
-        assert traced[1].peek(timeout=5) is not None
+        peeker.join(10)
+        assert box["req"] is not None
         peeks = [e for e in traced[1].events() if e.op == "peek"]
         assert len(peeks) == 1
         assert peeks[0].matched is True
@@ -179,10 +194,12 @@ class TestDelegation:
         t.start()
         status = traced[1].probe(pids[0], 3, 0)
         assert status.tag == 3
+        peeker, box = blocked_peeker(traced[1])
         rbuf = Buffer()
         traced[1].recv(rbuf, pids[0], 3, 0)
         t.join(10)
-        assert traced[1].peek(timeout=5) is not None
+        peeker.join(10)
+        assert box["req"] is not None
 
     def test_overheads_delegated(self, traced_pair):
         traced, _pids = traced_pair
