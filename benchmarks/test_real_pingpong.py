@@ -76,7 +76,7 @@ def render(name: str, times: dict[int, float]) -> str:
 
 
 class TestRealPingPong:
-    @pytest.mark.parametrize("device", ["smdev", "mxdev", "niodev"])
+    @pytest.mark.parametrize("device", ["smdev", "niodev"])
     def test_device_pingpong(self, benchmark, show, device):
         times = benchmark.pedantic(measure_device, args=(device,), rounds=1, iterations=1)
         show(f"Real ping-pong over {device}", render(device, times))

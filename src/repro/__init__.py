@@ -6,8 +6,9 @@ This package rebuilds the whole system in Python:
 
 * :mod:`repro.buffer`  — the mpjbuf buffering API;
 * :mod:`repro.xdev`    — the device layer: ``niodev`` (TCP +
-  selectors), ``smdev`` (shared memory), ``mxdev`` (simulated Myrinet
-  eXpress), ``ibisdev`` (thread-per-message baseline);
+  selectors), ``smdev`` (shared memory), ``procdev`` (shared-memory
+  rings), ``mxdev`` (the Myrinet eXpress shim over smdev's engine),
+  ``ibisdev`` (thread-per-message baseline);
 * :mod:`repro.mpjdev`  — ranks, requests, the peek()-based Waitany;
 * :mod:`repro.mpi`     — the MPI API: point-to-point (4 send modes),
   collectives, groups, derived datatypes, topologies, intercomms,

@@ -10,9 +10,11 @@ buffering layer in which every outgoing message is packed into a
 * a **dynamic section** holding serialized objects (JDK serialization
   in the paper; :mod:`pickle` here).
 
-Packing once into a contiguous buffer is what lets the JNI device
-(``mxdev``) hand memory straight to the native library without a copy,
-and lets the NIO device (``niodev``) issue a single channel write.  The
+In the paper, packing once into a contiguous buffer is what lets the
+JNI device (mxdev) hand memory straight to the native library without
+a copy, and lets the NIO device (niodev) issue a single channel write;
+here every engine device hands the sections to its transport as one
+gather list.  The
 Python analogue of a *direct* byte buffer is a :class:`bytearray`
 exposed through zero-copy :class:`memoryview` slices.
 

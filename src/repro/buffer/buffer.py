@@ -5,8 +5,9 @@ A :class:`Buffer` holds a **static section** — a sequence of
 sequence of length-prefixed pickled objects.  The split mirrors mpjbuf
 (paper Section IV-A.3): primitives go in the static section so they can
 be moved as raw bytes; objects go in the dynamic section because they
-need serialization.  ``mxdev`` transmits the two sections as a segment
-list in one ``mx_isend`` call, exactly as the paper describes.
+need serialization.  The protocol engine transmits the two sections as
+a segment list in one transport write, as the paper's mxdev does with
+one ``mx_isend`` call.
 
 Wire format
 -----------
@@ -339,9 +340,9 @@ class Buffer:
     def segments(self) -> list[memoryview]:
         """Zero-copy wire segments: [wire header, static, dynamic].
 
-        This is the segment list handed to ``mxdev`` — both sections in
-        one gather-send, matching the paper's use of ``mx_isend``'s
-        ``segments_list``.
+        This is the segment list the protocol engine hands its
+        transport — both sections in one gather-send, matching the
+        paper's use of ``mx_isend``'s ``segments_list``.
         """
         header = _WIRE_HEADER.pack(self.static_size, self.dynamic_size)
         segs = [memoryview(header)]

@@ -20,8 +20,8 @@ computation that might be running in parallel".  Instead:
      for it; ignore it and keep peeking.
 
 One addition over the paper's prose: after publishing ``waitany_ref``
-on its requests, a WaitAny re-tests them.  The protocol engine records
-a completion for ``peek()`` only if, when it completes, the request
+on its requests, a WaitAny re-tests them.  Every device records a
+completion for ``peek()`` only if, when it completes, the request
 carries a ``waitany_ref`` or a thread is blocked in ``peek()``; a
 request that completed *before* the reference was published was
 therefore never recorded (or was discarded under scenario 3 by a

@@ -12,7 +12,8 @@ Any device can back the job:
 * ``procdev`` — shared-memory rings (thread-ranks here; the same
   datapath runs ranks as OS processes under ``mpjrun --local``);
 * ``niodev`` — real localhost TCP with the selector progress engine;
-* ``mxdev`` — the simulated Myrinet eXpress path;
+* ``mxdev`` — the Myrinet eXpress shim, smdev's engine and wire under
+  the paper's thin-device name;
 * ``ibisdev`` — the thread-per-message baseline.
 
 ``device=None`` resolves through :func:`repro.xdev.device.default_device`,
@@ -45,7 +46,7 @@ class SpmdError(Exception):
 
 def _make_fabric(device: str, nprocs: int):
     """Create the shared wiring object for an in-process job."""
-    if device == "smdev":
+    if device in ("smdev", "mxdev"):
         from repro.xdev.smdev import SMFabric
 
         return SMFabric(nprocs), None
@@ -53,10 +54,6 @@ def _make_fabric(device: str, nprocs: int):
         from repro.xdev.procdev import ProcFabric
 
         return ProcFabric(nprocs), None
-    if device == "mxdev":
-        from repro.xdev.mxdev import MXFabric
-
-        return MXFabric(nprocs), None
     if device == "ibisdev":
         from repro.xdev.ibisdev import IbisFabric
 

@@ -17,9 +17,9 @@ Devices provided, mirroring the paper plus the baselines it evaluates:
     transport.  Deterministic and fast; the default for tests and for
     the paper's SMP/threads story.
 ``mxdev``
-    A thin shim over a simulated Myrinet eXpress library
-    (:mod:`repro.xdev.mxdev.mxlib`): matching and protocols live inside
-    the library, exactly why the paper's mxdev needs no protocol code.
+    The paper's thin Myrinet eXpress shim: the protocol engine plays
+    the library that matches and runs the protocols, so the device is
+    smdev under another name and holds no protocol code.
 ``ibisdev``
     A baseline device modelled on MPJ/Ibis: a thread per blocking
     operation, no progress engine.  Used by the qualitative

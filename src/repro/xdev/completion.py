@@ -1,12 +1,13 @@
-"""Completed-request queues backing ``peek()``.
+"""The completed-request store backing ``peek()``, for every device.
 
-:class:`CompletedQueue` is the seed's single shared queue, still used
-by the non-engine devices (mxdev, ibisdev).  :class:`CompletionShards`
-is its endpoint-sharded successor for the protocol engine: each
-endpoint gets its own lock + deque, so threads bound to different
-endpoints never contend when their requests complete, while ``peek()``
-still returns the globally most-recent completion via per-entry global
-sequence numbers.
+The paper's ``peek()`` (borrowed from Myrinet eXpress, Section III-A)
+blocks until a request completes and returns the most recently
+completed one.  :class:`CompletionShards` gives each endpoint its own
+lock + deque, so threads bound to different endpoints never contend
+when their requests complete, while ``peek()`` still returns the
+globally most-recent completion via per-entry global sequence numbers.
+A device hands every completion to :meth:`CompletionShards.offer`,
+which keeps only the ones a ``peek()`` can ask for.
 """
 
 from __future__ import annotations
@@ -20,39 +21,6 @@ from typing import Optional
 from repro.mpjdev.request import Request
 
 
-class CompletedQueue:
-    """Thread-safe LIFO of completed requests.
-
-    ``peek()`` blocks until a request completes and returns the most
-    recently completed one — the semantics the paper borrows from the
-    Myrinet eXpress library (Section III-A).
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._completed: deque[Request] = deque()
-
-    def track(self, request: Request) -> Request:
-        """Have *request* enqueue itself here on completion."""
-        request.add_completion_listener(self._push)
-        return request
-
-    def _push(self, request: Request) -> None:
-        with self._cond:
-            self._completed.append(request)
-            self._cond.notify_all()
-
-    def peek(self, timeout: Optional[float] = None) -> Request:
-        with self._cond:
-            if not self._cond.wait_for(lambda: bool(self._completed), timeout=timeout):
-                raise TimeoutError("peek() timed out")
-            return self._completed.pop()
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._completed)
-
-
 class CompletionShards:
     """Endpoint-sharded completed-request store.
 
@@ -60,9 +28,9 @@ class CompletionShards:
     uncontended lock — plus, *only when someone is blocked in peek*, a
     shared notification condition.  Entries carry a global sequence
     number so ``pop_latest`` can preserve the paper's LIFO "most
-    recently completed" contract across shards.  The engine pushes only
-    completions someone can ask for (see :attr:`watched`), so the store
-    holds parked ``Waitany`` completions, not a history.
+    recently completed" contract across shards.  Devices record through
+    :meth:`offer`, so the store holds parked ``Waitany`` completions,
+    not a history.
 
     The peek/push handshake is lost-wakeup safe without holding any
     shard lock while waiting: a waiter registers itself, samples the
@@ -99,6 +67,18 @@ class CompletionShards:
             with self._cond:
                 self._pushes += 1
                 self._cond.notify_all()
+
+    def offer(self, request: Request) -> None:
+        """Record *request*'s completion iff a ``peek()`` can ask for it.
+
+        The paper's peek() serves Waitany: keep a completion only when
+        a Waitany holds the request or a thread is blocked in
+        :meth:`pop_latest`, never for nobody.  ``WaitAnyQueue``
+        publishes its refs before it re-tests, so a completion that
+        reads no ref here is one that re-test sees.
+        """
+        if request.waitany_ref is not None or self.watched:
+            self.push(request, request.endpoint)
 
     def _try_pop_latest(self) -> Optional[Request]:
         # Find the shard whose newest entry is globally newest, then

@@ -85,9 +85,10 @@ class DeviceConfig:
 
     ``rank``/``nprocs`` identify this process within the job;
     ``fabric`` is the in-process wiring object for thread-rank devices
-    (smdev, mxdev, ibisdev); ``peers`` is the address list for
-    socket-based devices (niodev); ``options`` carries device-specific
-    tuning such as the eager/rendezvous threshold.
+    (an ``SMFabric`` for smdev and mxdev; procdev, ibisdev have their
+    own); ``peers`` is the address list for socket-based devices
+    (niodev); ``options`` carries device-specific tuning such as the
+    eager/rendezvous threshold.
     """
 
     rank: int = 0
@@ -207,8 +208,8 @@ class Device(abc.ABC):
 
         The contract: a completion is visible to peek() iff, when it
         happened, its request belonged to a ``Waitany`` (carried a
-        ``waitany_ref``) or a thread was blocked in peek().  Devices
-        may record more — the seed's single-queue devices (mxdev,
-        ibisdev) record everything — but the protocol engine records
-        exactly that, so completions nobody can ask for never pile up.
+        ``waitany_ref``) or a thread was blocked in peek().  Every
+        device records through
+        :meth:`~repro.xdev.completion.CompletionShards.offer`, so
+        completions nobody can ask for never pile up.
         """

@@ -34,7 +34,8 @@ from typing import Optional
 
 from repro.buffer import Buffer
 from repro.mpjdev.request import Request, Status
-from repro.xdev.completion import CompletedQueue
+from repro.obs.metrics import Counter
+from repro.xdev.completion import CompletionShards
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 from repro.xdev.device import Device, DeviceConfig, register_device
 from repro.xdev.exceptions import (
@@ -59,7 +60,6 @@ class _MailboxMessage:
     context: int
     data: bytes
     sync_event: Optional[threading.Event] = None
-    claimed: bool = False
 
 
 @dataclass
@@ -96,11 +96,30 @@ class IbisDevice(Device):
     def __init__(self) -> None:
         self._fabric: IbisFabric | None = None
         self._rank = -1
-        self._completed = CompletedQueue()
+        #: One shard: ibisdev has no endpoints.  The requests' hook
+        #: offers each completion, kept only if a peek() can ask for it.
+        self._completions = CompletionShards(1)
         self._finished = False
         self._max_threads = DEFAULT_MAX_THREADS
         self._poll_interval = DEFAULT_POLL_INTERVAL
-        self.stats = {"threads_spawned": 0, "poll_iterations": 0}
+        # Bumped from many operation threads at once: locked counters.
+        self._threads_spawned = Counter("threads_spawned")
+        self._poll_iterations = Counter("poll_iterations")
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Snapshot of the thread and polling counters."""
+        return {
+            "threads_spawned": self._threads_spawned.value,
+            "poll_iterations": self._poll_iterations.value,
+        }
+
+    def introspect(self) -> dict:
+        """Identity plus the peek store's depth, under the engine's key."""
+        return {
+            "device": self.device_name,
+            "completed_backlog": len(self._completions),
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -155,7 +174,7 @@ class IbisDevice(Device):
                     f"operation threads already live (cap {self._max_threads})"
                 )
             fabric.live_threads += 1
-        self.stats["threads_spawned"] += 1
+        self._threads_spawned.inc()
 
         def run() -> None:
             try:
@@ -165,6 +184,13 @@ class IbisDevice(Device):
                     fabric.live_threads -= 1
 
         threading.Thread(target=run, name=name, daemon=True).start()
+
+    def _new_request(
+        self, kind: str, buf: Buffer, peer, tag: int, context: int
+    ) -> Request:
+        request = Request(kind, buffer=buf, hook=self._completions.offer)
+        request.tag, request.peer, request.context = tag, peer, context
+        return request
 
     # ------------------------------------------------------------------
     # sends
@@ -192,8 +218,7 @@ class IbisDevice(Device):
 
     def isend(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> Request:
         self._check_live()
-        request = self._completed.track(Request(Request.SEND, buffer=buf))
-        request.tag, request.peer, request.context = tag, dest, context
+        request = self._new_request(Request.SEND, buf, dest, tag, context)
 
         def run() -> None:
             self._deliver(buf, dest, tag, context, None)
@@ -208,8 +233,7 @@ class IbisDevice(Device):
 
     def issend(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> Request:
         self._check_live()
-        request = self._completed.track(Request(Request.SEND, buffer=buf))
-        request.tag, request.peer, request.context = tag, dest, context
+        request = self._new_request(Request.SEND, buf, dest, tag, context)
         matched = threading.Event()
 
         def run() -> None:
@@ -226,34 +250,36 @@ class IbisDevice(Device):
     # ------------------------------------------------------------------
     # receives
 
-    def _match(self, src_rank: int, tag: int, context: int) -> Optional[_MailboxMessage]:
-        """Linear scan of the mailbox — the no-index baseline."""
+    def _scan(
+        self, src_rank: int, tag: int, context: int, claim: bool
+    ) -> Optional[_MailboxMessage]:
+        """Linear scan of the mailbox — the no-index baseline.  With
+        *claim*, the first match is removed under the scan's lock."""
         assert self._fabric is not None
         mailbox = self._fabric.mailboxes[self._rank]
         with mailbox.lock:
-            for msg in mailbox.messages:
-                if msg.claimed or msg.context != context:
+            for i, msg in enumerate(mailbox.messages):
+                if msg.context != context:
                     continue
                 if tag != ANY_TAG and msg.tag != tag:
                     continue
                 if src_rank != ANY_SOURCE and msg.src_rank != src_rank:
                     continue
-                msg.claimed = True
-                mailbox.messages.remove(msg)
+                if claim:
+                    del mailbox.messages[i]
                 return msg
         return None
 
     def irecv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Request:
         self._check_live()
         src_rank = src.uid if isinstance(src, ProcessID) else int(src)
-        request = self._completed.track(Request(Request.RECV, buffer=buf))
-        request.tag, request.peer, request.context = tag, src, context
+        request = self._new_request(Request.RECV, buf, src, tag, context)
 
         def run() -> None:
             # Poll the mailbox until a matching message shows up.  This
             # is the CPU-stealing behaviour the experiments measure.
             while not self._finished:
-                msg = self._match(src_rank, tag, context)
+                msg = self._scan(src_rank, tag, context, claim=True)
                 if msg is not None:
                     buf.load_wire(msg.data)
                     if msg.sync_event is not None:
@@ -268,7 +294,7 @@ class IbisDevice(Device):
                         )
                     )
                     return
-                self.stats["poll_iterations"] += 1
+                self._poll_iterations.inc()
                 time.sleep(self._poll_interval)
 
         self._spawn(run, name=f"ibis-recv-{self._rank}")
@@ -280,24 +306,10 @@ class IbisDevice(Device):
     # ------------------------------------------------------------------
     # probing
 
-    def _find(self, src_rank: int, tag: int, context: int) -> Optional[_MailboxMessage]:
-        assert self._fabric is not None
-        mailbox = self._fabric.mailboxes[self._rank]
-        with mailbox.lock:
-            for msg in mailbox.messages:
-                if msg.claimed or msg.context != context:
-                    continue
-                if tag != ANY_TAG and msg.tag != tag:
-                    continue
-                if src_rank != ANY_SOURCE and msg.src_rank != src_rank:
-                    continue
-                return msg
-        return None
-
     def iprobe(self, src: ProcessID | int, tag: int, context: int) -> Status | None:
         self._check_live()
         src_rank = src.uid if isinstance(src, ProcessID) else int(src)
-        msg = self._find(src_rank, tag, context)
+        msg = self._scan(src_rank, tag, context, claim=False)
         if msg is None:
             return None
         assert self._fabric is not None
@@ -319,4 +331,4 @@ class IbisDevice(Device):
 
     def peek(self, timeout: float | None = None) -> Request:
         self._check_live()
-        return self._completed.peek(timeout=timeout)
+        return self._completions.pop_latest(timeout=timeout)

@@ -29,7 +29,7 @@ class ProcessID:
 
     ``uid`` uniquely identifies the process within the job; ``address``
     is transport-specific (a ``(host, port)`` pair for niodev, a queue
-    index for smdev, an MX endpoint id for mxdev) and excluded from
+    index for smdev and mxdev) and excluded from
     equality so the same logical process compares equal regardless of
     which transport described it.
     """

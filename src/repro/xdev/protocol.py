@@ -69,7 +69,6 @@ from repro.mpjdev.request import Request, Status
 from repro.obs.metrics import Counter, MetricsRegistry, make_registry
 from repro.obs.tracing import dump_metrics, writer_for
 from repro.xdev.completion import CompletionShards
-from repro.xdev.constants import ANY_SOURCE
 from repro.xdev.endpoints import (
     EndpointBinding,
     endpoint_count,
@@ -365,13 +364,7 @@ class ProtocolEngine:
             else:
                 self._h_recv_latency.observe(latency_us)
         self._stats["completions"].inc()
-        # The paper's peek() serves Waitany: record a completion only
-        # when a Waitany holds the request or a thread is blocked in
-        # peek(), never for nobody.  WaitAnyQueue publishes its refs
-        # before it re-tests, so a completion that reads no ref here
-        # is one that re-test sees.
-        if request.waitany_ref is not None or self._completions.watched:
-            self._completions.push(request, request.endpoint)
+        self._completions.offer(request)
 
     def _write(
         self,

@@ -146,7 +146,8 @@ class SMDevice(ProtocolDevice):
                 fabric = SMFabric(1)
             else:
                 raise ConnectionSetupError(
-                    "smdev needs a shared SMFabric in DeviceConfig.fabric"
+                    f"{self.device_name} needs a shared SMFabric in "
+                    "DeviceConfig.fabric"
                 )
         if not (0 <= args.rank < fabric.nprocs):
             raise ConnectionSetupError(

@@ -1,8 +1,7 @@
 """Shared test fixtures.
 
 ``device_name`` parametrizes device-generic tests over every xdev
-implementation; ``fast_device_name`` restricts to the in-process
-devices for tests that run many iterations.
+implementation.
 """
 
 from __future__ import annotations
@@ -17,29 +16,25 @@ pytest_plugins = ["repro.testing.fixtures"]
 #: over smdev — the whole device-generic matrix must pass through the
 #: tracer unchanged (decorator-correctness guarantee).  procdev runs
 #: here in its in-process mode: thread-ranks over real shared-memory
-#: rings, the byte-identical datapath of process-rank jobs.
+#: rings, the byte-identical datapath of process-rank jobs.  mxdev is
+#: smdev's engine and wire under the MX shim's name.
 ALL_DEVICES = ["smdev", "mxdev", "ibisdev", "niodev", "procdev", "traced-smdev"]
-
-#: In-process devices (no sockets) — cheap enough for heavy loops.
-FAST_DEVICES = ["smdev", "mxdev"]
 
 
 def _honour_repro_device() -> None:
-    """Fold a REPRO_DEVICE override into the device matrices.
+    """Fold a REPRO_DEVICE override into the device matrix.
 
     ``REPRO_DEVICE=procdev`` (the CI matrix knob) must subject the
     whole suite to that device: it becomes the default for
     ``run_spmd``/``make_job`` callers automatically (see
     ``repro.xdev.device.default_device``), and here it is promoted
-    into the explicit fixture matrices as well.
+    into the explicit fixture matrix as well.
     """
     import os
 
     dev = os.environ.get("REPRO_DEVICE", "").strip()
     if dev and dev not in ALL_DEVICES:
         ALL_DEVICES.append(dev)
-    if dev and dev not in FAST_DEVICES:
-        FAST_DEVICES.append(dev)
 
 
 _honour_repro_device()
@@ -47,11 +42,6 @@ _honour_repro_device()
 
 @pytest.fixture(params=ALL_DEVICES)
 def device_name(request) -> str:
-    return request.param
-
-
-@pytest.fixture(params=FAST_DEVICES)
-def fast_device_name(request) -> str:
     return request.param
 
 
@@ -109,14 +99,6 @@ def make_job(device: str, nprocs: int, options: dict | None = None):
 def job2(device_name):
     """Two connected devices of each kind; finished on teardown."""
     devices, pids = make_job(device_name, 2)
-    yield devices, pids
-    for d in devices:
-        d.finish()
-
-
-@pytest.fixture
-def job3(fast_device_name):
-    devices, pids = make_job(fast_device_name, 3)
     yield devices, pids
     for d in devices:
         d.finish()

@@ -5,6 +5,8 @@ thread explosion under many outstanding operations (Section VI) and
 poll-based receives (the CPU-stealing behaviour behind Section V-A).
 """
 
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,6 +74,36 @@ class TestThreadBudget:
         finally:
             for d in devices:
                 d.finish()
+
+    def test_spawn_count_exact_under_contention(self):
+        """Operation threads are started from many user threads at once;
+        the spawn counter loses no update."""
+        devices, _pids = make_job("ibisdev", 1)
+        dev = devices[0]
+        per_thread, nthreads = 50, 8
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def spawner():
+                for _ in range(per_thread):
+                    dev._spawn(lambda: None, name="ibis-noop")
+
+            threads = [threading.Thread(target=spawner) for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            assert dev.stats["threads_spawned"] == per_thread * nthreads
+            wait_until(
+                lambda: dev._fabric.live_threads == 0,
+                timeout=10,
+                message="operation threads retired",
+            )
+        finally:
+            sys.setswitchinterval(old)
+            dev.finish()
 
     def test_budget_released_after_completion(self):
         devices, pids = make_job("ibisdev", 2, options={"max_threads": 8})

@@ -267,6 +267,18 @@ class TestWaitAny:
         assert req.waitany_ref is None
 
 
+def pingpong(comm, n):
+    """*n* 8 B MPI round trips between ranks 0 and 1."""
+    data = np.zeros(8, dtype=np.uint8)
+    for _ in range(n):
+        if comm.rank() == 0:
+            comm.Send(data, 0, 8, mpi.BYTE, 1, 1)
+            comm.Recv(data, 0, 8, mpi.BYTE, 1, 2)
+        else:
+            comm.Recv(data, 0, 8, mpi.BYTE, 0, 1)
+            comm.Send(data, 0, 8, mpi.BYTE, 0, 2)
+
+
 class TestNoBacklog:
     def test_pingpongs_leave_no_backlog(self):
         """Completions nobody can peek for are not recorded: 5 000 MPI
@@ -277,24 +289,13 @@ class TestNoBacklog:
         def main(env):
             comm = env.COMM_WORLD
             rank = comm.rank()
-            data = np.zeros(8, dtype=np.uint8)
-
-            def pingpong(n):
-                for _ in range(n):
-                    if rank == 0:
-                        comm.Send(data, 0, 8, mpi.BYTE, 1, 1)
-                        comm.Recv(data, 0, 8, mpi.BYTE, 1, 2)
-                    else:
-                        comm.Recv(data, 0, 8, mpi.BYTE, 0, 1)
-                        comm.Send(data, 0, 8, mpi.BYTE, 0, 2)
-
-            pingpong(100)  # pools and caches warm
+            pingpong(comm, 100)  # pools and caches warm
             comm.Barrier()
             if rank == 0:
                 gc.collect()
                 tracemalloc.start()
             comm.Barrier()
-            pingpong(pingpongs)
+            pingpong(comm, pingpongs)
             comm.Barrier()
             if rank == 0:
                 gc.collect()
@@ -304,3 +305,16 @@ class TestNoBacklog:
 
         assert run_spmd(main, 2, device="smdev", timeout=120) == [0, 0]
         assert growth["bytes"] < 1 << 20
+
+    # ibisdev's receive threads poll at 1 ms: fewer round trips.
+    @pytest.mark.parametrize("device, round_trips", [("mxdev", 2000), ("ibisdev", 300)])
+    def test_no_device_keeps_unwatched_completions(self, device, round_trips):
+        """The same contract off smdev: the engine under mxdev's name,
+        and ibisdev, the one device outside the engine."""
+
+        def main(env):
+            pingpong(env.COMM_WORLD, round_trips)
+            env.COMM_WORLD.Barrier()
+            return env.device.introspect().get("completed_backlog")
+
+        assert run_spmd(main, 2, device=device, timeout=120) == [0, 0]

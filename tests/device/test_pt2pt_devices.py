@@ -1,7 +1,7 @@
 """Device-generic point-to-point tests, run on every xdev device.
 
 These exercise the Fig. 2 API surface uniformly: whatever the
-transport (sockets, queues, simulated MX, thread-per-message), the
+transport (sockets, shared memory, rings, thread-per-message), the
 semantics must be identical.
 """
 

@@ -25,6 +25,7 @@ from repro.mpjdev.request import RequestFailedError
 from repro.testing import ChaosConfig, wait_until
 from repro.testing.fixtures import make_chaos_job
 from repro.xdev.frames import HEADER, HEADER_SIZE, FrameHeader, FrameType
+from repro.xdev.protocol import ProtocolEngine
 
 from tests.conftest import make_job
 
@@ -337,10 +338,12 @@ class TestSmallMessageWindows:
     """8-byte public Send/Recv take the window route too: no pool
     buffer on either rank, the same status and the same errors."""
 
-    @pytest.mark.parametrize("kind", WINDOW_CONFIGS)
+    # mxdev: the name reaches the engine, not a stack of its own.
+    @pytest.mark.parametrize("kind", [*WINDOW_CONFIGS, "mxdev"])
     def test_pingpong_takes_no_pool_buffer(self, kind):
         devices, envs = _mpi_job(kind)
         try:
+            assert all(isinstance(d.engine, ProtocolEngine) for d in devices)
             data = np.arange(8, dtype=np.uint8)
             out = np.zeros(8, dtype=np.uint8)
             before = _acquired(envs)
@@ -576,7 +579,7 @@ class TestLeakChecks:
         for d in devices:
             d.finish()
             engine = getattr(d, "engine", None)
-            if engine is not None:  # mxdev/ibisdev have no pooled path
+            if engine is not None:  # ibisdev has no pooled path
                 assert engine.raw_pool.outstanding == 0
 
 

@@ -1,73 +1,94 @@
-"""Unit tests for the shared CompletedQueue (backs mxdev/ibisdev peek)."""
+"""The completed-request queue behind every device's peek().
+
+Devices give each request ``hook=CompletionShards.offer``: a completion
+is kept only if a Waitany holds the request or a thread is blocked in
+``pop_latest``.  ``tests/unit/test_endpoints.py::TestCompletionShards``
+covers the sharded push/pop underneath.
+"""
 
 import threading
 
 import pytest
 
 from repro.mpjdev.request import Request, Status
-from repro.xdev.completion import CompletedQueue
+from repro.mpjdev.waitany import WaitAny
+from repro.testing import wait_until
+from repro.xdev.completion import CompletionShards
+
+
+def offered(cs, parked=True):
+    """A request completing into *cs*, parked in a Waitany if *parked*."""
+    request = Request(Request.RECV, hook=cs.offer)
+    if parked:
+        request.waitany_ref = WaitAny([request])
+    return request
 
 
 class TestCompletedQueue:
     def test_tracked_request_appears_on_completion(self):
-        q = CompletedQueue()
-        req = q.track(Request(Request.SEND))
-        assert len(q) == 0
+        cs = CompletionShards(1)
+        req = offered(cs)
+        assert len(cs) == 0
         req.complete(Status())
-        assert len(q) == 1
-        assert q.peek(timeout=1) is req
+        assert len(cs) == 1
+        assert cs.pop_latest(timeout=1) is req
 
     def test_lifo_order(self):
-        q = CompletedQueue()
-        a = q.track(Request(Request.SEND))
-        b = q.track(Request(Request.RECV))
+        cs = CompletionShards(1)
+        a, b = offered(cs), offered(cs)
         a.complete(Status())
         b.complete(Status())
-        assert q.peek(timeout=1) is b
-        assert q.peek(timeout=1) is a
+        assert cs.pop_latest(timeout=1) is b
+        assert cs.pop_latest(timeout=1) is a
 
     def test_peek_blocks_until_push(self):
-        q = CompletedQueue()
-        req = q.track(Request(Request.RECV))
+        """An unparked completion is kept while a peeker is blocked."""
+        cs = CompletionShards(1)
+        req = offered(cs, parked=False)
         out = {}
 
         def peeker():
-            out["req"] = q.peek(timeout=5)
+            out["req"] = cs.pop_latest(timeout=5)
 
         t = threading.Thread(target=peeker, daemon=True)
         t.start()
-        # peek cannot return before the request completes (it would
-        # need the 5 s timeout to fire), so the thread is still inside
-        # the blocking wait here — no sleep-based handshake required.
-        assert "req" not in out
+        wait_until(lambda: cs.watched, message="peeker blocked")
         req.complete(Status())
         t.join(5)
         assert out["req"] is req
 
     def test_timeout(self):
-        q = CompletedQueue()
+        """A completion nobody can ask for is dropped, so peek times out."""
+        cs = CompletionShards(1)
+        offered(cs, parked=False).complete(Status())
+        assert len(cs) == 0 and cs.totals() == [0]
         with pytest.raises(TimeoutError):
-            q.peek(timeout=0.02)
+            cs.pop_latest(timeout=0.02)
 
     def test_already_completed_request_tracked(self):
-        q = CompletedQueue()
+        """offer() judges the request when it is offered, not when it
+        completed: a completed request parked since is kept."""
+        cs = CompletionShards(1)
         req = Request(Request.SEND)
         req.complete(Status())
-        q.track(req)  # listener runs immediately
-        assert q.peek(timeout=1) is req
+        cs.offer(req)
+        assert len(cs) == 0
+        req.waitany_ref = WaitAny([req])
+        cs.offer(req)
+        assert cs.pop_latest(timeout=1) is req
 
     def test_concurrent_producers_consumers(self):
-        q = CompletedQueue()
+        cs = CompletionShards(2)
         n = 100
         consumed = []
 
         def producer():
             for _ in range(n):
-                q.track(Request(Request.SEND)).complete(Status())
+                offered(cs).complete(Status())
 
         def consumer():
             for _ in range(n):
-                consumed.append(q.peek(timeout=10))
+                consumed.append(cs.pop_latest(timeout=10))
 
         threads = [
             threading.Thread(target=producer, daemon=True),
