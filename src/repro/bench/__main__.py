@@ -5,20 +5,25 @@ Options::
     python -m repro.bench                 # all six figures + summaries
     python -m repro.bench FIG13           # one figure
     python -m repro.bench --summaries     # latency/throughput tables only
-    python -m repro.bench --json          # LIVE ping-pong over smdev/niodev
-                                          # (latency, throughput, copy stats)
     python -m repro.bench --json --collectives
                                           # LIVE collective cells: auto vs
                                           # seed-default vs every algorithm
     python -m repro.bench tune-coll --out tuned.json
                                           # sweep algorithms, emit a
                                           # REPRO_COLL_TUNING decision table
+    python -m repro.bench --procdev --quick
+    python -m repro.bench --scaleout --quick
+
+Live point-to-point ping-pong and THREAD_MULTIPLE message rate are
+measured by ``python3 perf/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from repro.bench.figures import FIGURES
 from repro.bench.report import format_figure, format_latency_table
@@ -26,10 +31,17 @@ from repro.bench.report import format_figure, format_latency_table
 _SUMMARY_SIZES = [1, 1024, 64 * 1024, 1 << 20, 16 << 20]
 
 
+def _emit(result: dict, out: str | None) -> int:
+    """Print a bench result as JSON and, with ``--out``, write it too."""
+    text = json.dumps(result, indent=1)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
 def _tune_coll(ns) -> int:
     """``python -m repro.bench tune-coll``: measure, emit a decision table."""
-    import json
-
     from repro.bench.collectives import tune_collectives
 
     table, measurements = tune_collectives(
@@ -71,39 +83,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="run the LIVE ping-pong bench (real devices, not netsim) "
-             "and print JSON: latency, throughput, copy counters",
+        help="accepted with a bench mode (--collectives, --procdev, "
+             "--scaleout); every bench mode prints JSON",
     )
     parser.add_argument(
         "--out", metavar="FILE",
-        help="with --json: also write the JSON to FILE",
+        help="with a bench mode: also write the JSON to FILE; with "
+             "tune-coll: write the decision table to FILE",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="run the live bench with fewer iterations (CI smoke "
-             "mode); implies --json",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="with --json: embed FILE as the pre-change comparison",
+        help="with a bench mode or tune-coll: fewer iterations (CI smoke mode)",
     )
     parser.add_argument(
         "--devices", metavar="NAMES",
-        help="with --json: comma-separated device list (default smdev,niodev)",
+        help="with --collectives / tune-coll: device to run on (first of a "
+             "comma-separated list; default smdev)",
     )
     parser.add_argument(
         "--collectives", action="store_true",
-        help="with --json: run the collective cells (auto vs seed-default "
-             "vs every manual algorithm) instead of ping-pong",
+        help="run the LIVE collective cells (auto vs seed-default vs every "
+             "manual algorithm) and print JSON; honors --quick/--out",
     )
     parser.add_argument(
         "--nprocs", type=int, default=None,
         help="communicator size for collective cells / tune-coll (default 8)",
-    )
-    parser.add_argument(
-        "--threads", action="store_true",
-        help="run the many-thread message-rate bench (endpoint-sharded vs "
-             "single-endpoint engine) and print JSON; honors --quick/--out",
     )
     parser.add_argument(
         "--scaleout", action="store_true",
@@ -126,97 +130,36 @@ def main(argv: list[str] | None = None) -> int:
     if ns.figures and ns.figures[0] == "tune-coll":
         return _tune_coll(ns)
 
-    if ns.scaleout:
-        import json
-        from pathlib import Path
+    if (ns.json or ns.quick) and not (ns.collectives or ns.procdev or ns.scaleout):
+        parser.error(
+            "--json/--quick need --collectives, --procdev or --scaleout; "
+            "live ping-pong and thread-rate runs are python3 perf/run.py"
+        )
 
+    progress = lambda msg: print(f"# {msg}", file=sys.stderr)  # noqa: E731
+    if ns.scaleout:
         from repro.bench.scaleout import run_scaleout_bench
 
-        result = run_scaleout_bench(
-            quick=ns.quick,
-            sizes=(
-                [int(s) for s in ns.sizes.split(",")] if ns.sizes else None
-            ),
-            progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-        )
-        text = json.dumps(result, indent=1)
-        print(text)
-        if ns.out:
-            Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        return 0
+        sizes = [int(s) for s in ns.sizes.split(",")] if ns.sizes else None
+        result = run_scaleout_bench(quick=ns.quick, sizes=sizes, progress=progress)
+        return _emit(result, ns.out)
 
     if ns.procdev:
-        import json
-        from pathlib import Path
-
         from repro.bench.procbench import run_procdev_bench
 
-        result = run_procdev_bench(
+        result = run_procdev_bench(quick=ns.quick, progress=progress)
+        return _emit(result, ns.out)
+
+    if ns.collectives:
+        from repro.bench.collectives import run_collectives_bench
+
+        result = run_collectives_bench(
+            nprocs=ns.nprocs or 8,
+            device=(ns.devices.split(",")[0] if ns.devices else "smdev"),
             quick=ns.quick,
-            progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-        )
-        text = json.dumps(result, indent=1)
-        print(text)
-        if ns.out:
-            Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        return 0
-
-    if ns.threads:
-        import json
-        from pathlib import Path
-
-        from repro.bench.threads import run_threads_bench
-
-        result = run_threads_bench(
-            quick=ns.quick,
-            progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-        )
-        text = json.dumps(result, indent=1)
-        print(text)
-        if ns.out:
-            Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        return 0
-
-    if ns.json or ns.quick:
-        import json
-        from pathlib import Path
-
-        from repro.bench.live import run_live_bench
-
-        progress = lambda msg: print(f"# {msg}", file=sys.stderr)  # noqa: E731
-        if ns.collectives:
-            from repro.bench.collectives import run_collectives_bench
-
-            result = run_collectives_bench(
-                nprocs=ns.nprocs or 8,
-                device=(ns.devices.split(",")[0] if ns.devices else "smdev"),
-                quick=ns.quick,
-                progress=progress,
-            )
-            text = json.dumps(result, indent=1)
-            print(text)
-            if ns.out:
-                Path(ns.out).write_text(text + "\n", encoding="utf-8")
-            return 0
-
-        baseline = None
-        if ns.baseline:
-            baseline = json.loads(Path(ns.baseline).read_text(encoding="utf-8"))
-            # Accept either a bare {device: {size: cell}} map or a full
-            # prior --json result.
-            if "devices" in baseline:
-                baseline = baseline["devices"]
-        result = run_live_bench(
-            devices=ns.devices.split(",") if ns.devices else None,
-            quick=ns.quick,
-            baseline=baseline,
             progress=progress,
         )
-        text = json.dumps(result, indent=1)
-        print(text)
-        if ns.out:
-            Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        return 0
+        return _emit(result, ns.out)
 
     if ns.plot:
         from repro.bench.plot import ascii_plot

@@ -243,17 +243,11 @@ def run_collectives_bench(
 ) -> dict[str, Any]:
     """The full cell sweep, as the JSON-ready result dict.
 
-    ``REPRO_BENCH_COLLECTIVES=allreduce,bcast`` restricts the default
-    cell set (CI smoke uses this to keep the job short).
+    *collectives* and *sizes* default to :data:`DEFAULT_COLLECTIVES`
+    and :data:`DEFAULT_SIZES`; *quick* trims iterations, not cells.
     """
-    import os
-
     from repro.mpi import algorithms
 
-    if collectives is None:
-        env = os.environ.get("REPRO_BENCH_COLLECTIVES", "").strip()
-        if env:
-            collectives = [c for c in env.split(",") if c]
     collectives = collectives or list(DEFAULT_COLLECTIVES)
     sizes = sizes or list(DEFAULT_SIZES)
     out: dict[str, Any] = {

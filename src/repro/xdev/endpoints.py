@@ -105,8 +105,7 @@ class EndpointBinding:
 
     The first time a thread asks for its endpoint it is assigned the
     next slot modulo ``n`` and keeps it for life (thread-local).  Use
-    :meth:`bind` to pin a thread to a specific endpoint instead — the
-    thread-scaling bench does this so each worker owns one endpoint.
+    :meth:`bind` to pin a thread to a specific endpoint instead.
     """
 
     def __init__(self, n: int) -> None:

@@ -302,8 +302,8 @@ class _MatchShard:
     one global ticker every store would wake every prober in the
     process (a thundering herd of futile rescans, one per prober per
     message); per-shard tickers make probe wakeups 1:1 with relevant
-    arrivals, which is where the seed's shared engine burns its CPU in
-    the probe-then-recv thread-scaling bench.
+    arrivals, which is where a shared engine burns its CPU when many
+    threads probe-then-recv.
     """
 
     __slots__ = ("lock", "mq", "ticker", "ticks", "waiters")
@@ -382,8 +382,8 @@ class ShardedMatcher:
         #: Blocking-probe wakeup accounting (GIL-atomic increments).
         #: ``futile_wakeups`` counts wakeups whose rescan found nothing
         #: — the thundering-herd tax a shared ticker pays and per-shard
-        #: tickers mostly eliminate; the thread-scaling bench reports
-        #: it per message.
+        #: tickers mostly eliminate; ``perf/run.py``'s traced run
+        #: reports it per operation.
         self.probe_stats = {"blocking_probes": 0, "wakeups": 0, "futile_wakeups": 0}
 
     # ------------------------------------------------------------------

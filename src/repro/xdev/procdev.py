@@ -1,8 +1,8 @@
 """procdev — process-rank shared-memory device.
 
 smdev runs ranks as threads, so its aggregate bandwidth is capped by
-the GIL: PR 5's thread-scaling bench measured 4–8 flooding threads
-flatlining at single-thread throughput.  procdev is the same protocol
+the GIL: 4–8 flooding threads flatline at single-thread throughput.
+procdev is the same protocol
 engine with ranks as OS *processes*: every rank owns an interpreter
 (and therefore a core), and frames travel through
 ``multiprocessing.shared_memory`` instead of in-process queues —

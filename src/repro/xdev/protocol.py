@@ -366,22 +366,6 @@ class ProtocolEngine:
         self._stats["completions"].inc()
         self._completions.offer(request)
 
-    def _write(
-        self,
-        dest: ProcessID,
-        segments: list[bytes | memoryview],
-        on_delivered: Optional[Callable[[], None]] = None,
-        route: int = 0,
-    ) -> None:
-        """Hand one frame to the transport (its write contract applies).
-
-        *on_delivered* fires exactly once when the transport no longer
-        references the segment memory, and never if the write raises;
-        *route* is the frame's content route (see
-        :mod:`repro.xdev.endpoints`).
-        """
-        self.transport.write(dest, segments, route, on_delivered)
-
     # ------------------------------------------------------------------
     # sends
 
@@ -439,7 +423,7 @@ class ProtocolEngine:
                     tag=tag, ctx=context, size=buf.size, proto="eager", ep=ep,
                     lc=lc, fq=flow_seq,
                 )
-            self._write(
+            self.transport.write(
                 dest,
                 encode_frame(
                     FrameType.EAGER,
@@ -450,7 +434,7 @@ class ProtocolEngine:
                     flow_src=self.my_pid.uid,
                     flow_seq=flow_seq,
                 ),
-                route=route,
+                route,
             )
             request.complete(Status(source=self.my_pid, tag=tag, size=buf.size))
             if tracer is not None:
@@ -490,7 +474,7 @@ class ProtocolEngine:
         if tracer is not None:
             tracer.emit("rts.out", id=send_id, peer=dest.uid, fq=flow_seq)
         try:
-            self._write(
+            self.transport.write(
                 dest,
                 encode_frame(
                     FrameType.RTS,
@@ -502,7 +486,7 @@ class ProtocolEngine:
                     flow_src=self.my_pid.uid,
                     flow_seq=flow_seq,
                 ),
-                route=route,
+                route,
             )
         except BaseException:
             # The RTS never left: un-park the send or it sits in the
@@ -593,7 +577,7 @@ class ProtocolEngine:
                 "rtr.out", id=trace_id, peer=rts.src_uid,
                 lc=lc, fs=rts.flow_src, fq=rts.flow_seq,
             )
-        self._write(
+        self.transport.write(
             rts.src_pid,
             encode_frame(
                 FrameType.RTR,
@@ -605,7 +589,7 @@ class ProtocolEngine:
                 flow_src=rts.flow_src,
                 flow_seq=rts.flow_seq,
             ),
-            route=route_of_id(rts.send_id),
+            route_of_id(rts.send_id),
         )
 
     def recv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Status:
@@ -1006,7 +990,7 @@ class ProtocolEngine:
                 )
             # RNDZ_DATA is id-addressed: route by recv id, matching
             # the landing lookup on the receiving side.
-            self._write(
+            self.transport.write(
                 pending.dest,
                 encode_frame(
                     FrameType.RNDZ_DATA,
@@ -1018,8 +1002,8 @@ class ProtocolEngine:
                     flow_src=header.flow_src,
                     flow_seq=header.flow_seq,
                 ),
-                on_delivered=on_delivered,
-                route=route_of_id(header.recv_id),
+                route_of_id(header.recv_id),
+                on_delivered,
             )
 
         if self.fork_rendezvous_writer:

@@ -49,6 +49,17 @@ class TestCli:
     def test_plot_unknown_figure(self, capsys):
         assert bench_main(["FIG99", "--plot"]) == 2
 
+    def test_removed_modes_point_at_perf(self, capsys):
+        # Live ping-pong and thread-rate runs belong to perf/run.py; the
+        # bare flags are usage errors, not a second benchmark.
+        for argv in (["--json"], ["--quick"], ["--threads"]):
+            with pytest.raises(SystemExit) as exc:
+                bench_main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            if argv != ["--threads"]:
+                assert "perf/run.py" in err, argv
+
 
 class TestAsciiPlot:
     def test_every_series_gets_a_glyph(self):
