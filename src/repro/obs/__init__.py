@@ -7,7 +7,8 @@ Three cooperating pieces (see docs/observability.md):
   ``REPRO_METRICS=0`` turns recording into no-ops.
 * :mod:`repro.obs.tracing` — bounded-ring JSONL trace export per rank,
   enabled by ``REPRO_TRACE=<dir>`` (engines pick it up at init, so the
-  launcher and daemons trace every rank automatically).
+  launcher and daemons trace every rank automatically), and the
+  MPI-level :class:`TracingDevice` recording into the same ring.
 * :mod:`repro.obs.introspect` — stall snapshots (pending ops with
   ages + live queue depths) on watchdog trigger or SIGUSR1.
 
@@ -36,6 +37,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     TRACE_ENV,
     TraceWriter,
+    TracingDevice,
     dump_metrics,
     trace_dir,
     writer_for,
@@ -50,6 +52,7 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "TraceWriter",
+    "TracingDevice",
     "dump_metrics",
     "install_stall_handler",
     "make_registry",

@@ -1,7 +1,7 @@
 """Stall snapshots: pending operations with ages, on demand or on signal.
 
 This is the promoted form of the PR-1 watchdog's triage dump: one
-function that gathers, from any mix of devices and tracers, everything
+function that gathers, from any mix of plain and traced devices, everything
 a hang post-mortem needs — live queue depths (``device.introspect()``),
 engine protocol counters, and every pending traced operation with its
 age.  :class:`~repro.testing.watchdog.ProgressWatchdog` calls it on a
@@ -20,25 +20,47 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.obs.tracing import trace_dir
+from repro.obs.tracing import write_json
+
+
+def pending_operations(
+    devices: Sequence[Any], min_age_s: float = 0.0
+) -> list[dict[str, Any]]:
+    """Pending operations older than *min_age_s*, with ages.
+
+    Every device in *devices* that has ``detect_stalled`` (a
+    :class:`~repro.obs.tracing.TracingDevice`) contributes; ``rank``
+    is the device's index in *devices*.
+    """
+    ops: list[dict[str, Any]] = []
+    for rank, dev in enumerate(devices):
+        detect = getattr(dev, "detect_stalled", None)
+        if detect is None:
+            continue
+        now = dev.clock()
+        ops += [
+            {"rank": rank, "op": r["ev"].split(".")[1], "peer": r.get("peer"),
+             "tag": r.get("tag"), "context": r.get("ctx"), "posted_at": r["t"],
+             "age_s": round(now - r["t"], 6)}
+            for r in detect(min_age_s=min_age_s)
+        ]
+    return ops
 
 
 def stall_snapshot(
     devices: Sequence[Any] = (),
-    tracers: Sequence[Any] = (),
     min_age_s: float = 0.0,
 ) -> dict[str, Any]:
-    """Snapshot pending work across *devices* and *tracers*.
+    """Snapshot pending work across *devices*.
 
     ``devices`` are anything with ``introspect()`` (queue depths) —
-    engine stats ride along inside that dict.  ``tracers`` are
-    :class:`~repro.trace.TracingDevice` instances; their pending
-    operations older than *min_age_s* are listed with ages.
+    engine stats ride along inside that dict.  Traced devices also
+    list their pending operations (:func:`pending_operations`).
     """
     snap: dict[str, Any] = {
         "taken_at": time.time(),
         "devices": [],
-        "pending_operations": [],
+        "pending_operations": pending_operations(devices, min_age_s),
     }
     for dev in devices:
         introspect = getattr(dev, "introspect", None)
@@ -48,39 +70,16 @@ def stall_snapshot(
             snap["devices"].append(introspect())
         except Exception as exc:  # noqa: BLE001 - a dead device still snapshots
             snap["devices"].append({"error": repr(exc)})
-    for i, tracer in enumerate(tracers):
-        now = tracer.clock()
-        for event in tracer.detect_stalled(min_age_s=min_age_s):
-            snap["pending_operations"].append(
-                {
-                    "tracer": i,
-                    "op": event.op,
-                    "peer": event.peer,
-                    "tag": event.tag,
-                    "context": event.context,
-                    "posted_at": event.time,
-                    "age_s": round(now - event.time, 6),
-                }
-            )
     return snap
 
 
 def write_stall_file(snapshot: dict[str, Any]) -> Optional[Path]:
     """Persist *snapshot* into the ``REPRO_TRACE`` directory, if set."""
-    directory = trace_dir()
-    if directory is None:
-        return None
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"stall-p{os.getpid()}-{time.time_ns()}.json"
-    path.write_text(
-        json.dumps(snapshot, indent=1, default=repr) + "\n", encoding="utf-8"
-    )
-    return path
+    return write_json(f"stall-p{os.getpid()}-{time.time_ns()}.json", snapshot)
 
 
 def install_stall_handler(
     devices: Sequence[Any] = (),
-    tracers: Sequence[Any] = (),
     signum: int = getattr(signal, "SIGUSR1", signal.SIGTERM),
     on_snapshot: Optional[Callable[[dict[str, Any]], None]] = None,
 ) -> Any:
@@ -93,7 +92,7 @@ def install_stall_handler(
     """
 
     def _handler(_sig, _frame) -> None:
-        snap = stall_snapshot(devices=devices, tracers=tracers)
+        snap = stall_snapshot(devices=devices)
         path = write_stall_file(snap)
         if path is None:
             print(json.dumps(snap, indent=1, default=repr), file=sys.stderr)

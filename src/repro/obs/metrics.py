@@ -229,6 +229,12 @@ class MetricsRegistry:
                 c = self._counters[name] = Counter(name)
             return c
 
+    def adopt(self, counter: Counter) -> None:
+        """Report an owner's own *counter* under its name — for counts
+        that must stay exact even when the registry is a NullMetrics."""
+        with self._lock:
+            self._counters[counter.name] = counter
+
     def gauge(self, name: str, fn: Optional[Callable[[], Any]] = None) -> Gauge:
         with self._lock:
             g = self._gauges.get(name)
@@ -306,10 +312,7 @@ class NullMetrics(MetricsRegistry):
 
 def make_registry(label: str = "") -> MetricsRegistry:
     """A registry honouring the ``REPRO_METRICS`` kill switch."""
-    value = os.environ.get(METRICS_ENV, "").strip().lower()
-    if value in _FALSEY:
-        return NullMetrics(label)
-    return MetricsRegistry(label)
+    return MetricsRegistry(label) if metrics_enabled() else NullMetrics(label)
 
 
 def merge_snapshots(snaps: Iterable[dict[str, Any]]) -> dict[str, Any]:

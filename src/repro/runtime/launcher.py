@@ -83,7 +83,7 @@ def run_spmd(
     whole job (None = unbounded).
 
     With ``trace=True`` every rank's device is wrapped in a
-    :class:`repro.trace.TracingDevice` and the call returns
+    :class:`repro.obs.tracing.TracingDevice` and the call returns
     ``(results, traces)`` — one tracer per rank, already populated.
     On a timeout the traces survive in ``SpmdError.traces`` so the
     stalled operations can be inspected (``TracingDevice.detect_stalled``).
@@ -120,14 +120,13 @@ def run_spmd(
                 )
             env = MPJEnvironment.create(device, config)
             if trace:
-                from repro.trace import TracingDevice
+                from repro.obs.tracing import TracingDevice
 
-                tracer = TracingDevice(env.device)
-                tracers[rank] = tracer
+                tracers[rank] = TracingDevice(env.device)
                 # Rebuild the environment's world over the tracer so
                 # every MPI-level operation is recorded.
                 env = MPJEnvironment(
-                    tracer, env.COMM_WORLD.group().pids, rank, pool=env.pool
+                    tracers[rank], env.COMM_WORLD.group().pids, rank, pool=env.pool
                 )
             envs[rank] = env
         except BaseException as exc:  # noqa: BLE001 - reported to caller
@@ -161,15 +160,11 @@ def run_spmd(
     hung = [t for t in threads if t.is_alive()]
     try:
         if hung:
-            error = SpmdError(
-                {
-                    rank: TimeoutError(f"rank {rank} did not finish within {timeout}s")
-                    for rank, t in enumerate(threads)
-                    if t.is_alive()
-                }
-            )
-            error.traces = tracers if trace else None
-            raise error
+            failures = {
+                rank: TimeoutError(f"rank {rank} did not finish within {timeout}s")
+                for rank, t in enumerate(threads)
+                if t.is_alive()
+            }
         if failures:
             error = SpmdError(failures)
             error.traces = tracers if trace else None

@@ -4,7 +4,7 @@ The protocol engine's error paths (duplicate control frames, truncated
 payloads, delayed and reordered delivery) are exercised by real
 networks only by luck.  chaosdev exercises them on purpose: a wrapper
 :class:`~repro.xdev.device.Device` (composable over smdev/niodev, like
-:class:`repro.trace.TracingDevice`) swaps the engine's transport for a
+:class:`repro.obs.tracing.TracingDevice`) swaps the engine's transport for a
 :class:`ChaosTransport` that perturbs every outbound frame according
 to a seeded plan.
 
@@ -384,7 +384,7 @@ class ChaosDevice(Device):
     """A Device decorator running its inner device's engine over a
     :class:`ChaosTransport`.
 
-    Composable exactly like :class:`repro.trace.TracingDevice`; the
+    Composable exactly like :class:`repro.obs.tracing.TracingDevice`; the
     inner device must be engine-based (smdev/niodev), because the
     faults are injected below the protocol engine.
     """

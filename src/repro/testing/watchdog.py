@@ -13,8 +13,8 @@ with both threads' held-lock stacks.
 :class:`ProgressWatchdog` watches a set of engines and fires when
 outstanding work exists but no request has completed within a budget.
 Its report is trace-integrated: give it the job's
-:class:`~repro.trace.TracingDevice` wrappers and the dump includes the
-stalled operations (:meth:`repro.trace.TracingDevice.detect_stalled`)
+:class:`~repro.obs.tracing.TracingDevice` wrappers and the dump includes
+the stalled operations (:func:`repro.obs.introspect.pending_operations`)
 next to the engine-side pending sets.
 
 Usage::
@@ -33,6 +33,7 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
+from repro.obs.introspect import pending_operations, write_stall_file
 from repro.xdev import locknames
 from repro.xdev.exceptions import XDevException
 
@@ -271,24 +272,10 @@ class ProgressWatchdog:
                     "stats": dict(e.stats),
                 }
             )
-        stalled_ops = []
-        if self.tracers:
-            for i, tracer in enumerate(self.tracers):
-                for event in tracer.detect_stalled(min_age_s=0.0):
-                    stalled_ops.append(
-                        {
-                            "rank": i,
-                            "op": event.op,
-                            "peer": event.peer,
-                            "tag": event.tag,
-                            "context": event.context,
-                            "posted_at": event.time,
-                        }
-                    )
         return {
             "completions": self._completions(),
             "engines": per_engine,
-            "stalled_operations": stalled_ops,
+            "stalled_operations": pending_operations(self.tracers),
             "locks": self.graph.summary() if self.graph is not None else None,
         }
 
@@ -298,8 +285,6 @@ class ProgressWatchdog:
     def _write_stall_file(stall: dict) -> None:
         """Persist the stall report next to the traces (if tracing is on)."""
         try:
-            from repro.obs.introspect import write_stall_file
-
             write_stall_file(stall)
         except Exception:  # noqa: BLE001 - diagnostics must not kill the dog
             pass

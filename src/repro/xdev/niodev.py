@@ -67,6 +67,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import Counter
 from repro.xdev.base import ProtocolDevice
 from repro.xdev.device import DeviceConfig, register_device
 from repro.xdev.exceptions import ConnectError, ConnectionSetupError, XDevException
@@ -195,25 +196,27 @@ class ConnectionCache:
         #: Peak simultaneous open channels (write + read), maintained
         #: under the cache lock — the scale-out bench's headline number.
         self.peak = 0
-        self.stats = {
-            "connects": 0,
-            "redials": 0,
-            "evictions": 0,
-            "evict_drain_timeouts": 0,
-            "evict_overshoots": 0,
+        #: One counter per dial/evict event.  They are real Counters
+        #: even under ``REPRO_METRICS=0`` (the cache's own accounting
+        #: must stay exact); :meth:`bind_metrics` adopts them into the
+        #: registry as ``net.<name>_total``.
+        self._stats = {
+            name: Counter(f"net.{name}_total")
+            for name in ("connects", "redials", "evictions", "evict_drain_timeouts",
+                         "evict_overshoots")
         }
-        # Obs counters, bound by the transport once it has a registry.
-        self._c_connects = None
-        self._c_evictions = None
-        self._c_redials = None
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Snapshot of the dial/evict counters."""
+        return {name: c.value for name, c in self._stats.items()}
 
     def bind_metrics(self, registry) -> None:
         registry.gauge("net.connections_open", fn=self.open_connections)
         registry.gauge("net.connections_peak", fn=lambda: self.peak)
         registry.gauge("net.fd_budget", fn=lambda: self.budget)
-        self._c_connects = registry.counter("net.connects_total")
-        self._c_evictions = registry.counter("net.evictions_total")
-        self._c_redials = registry.counter("net.redials_total")
+        for counter in self._stats.values():
+            registry.adopt(counter)
 
     # ------------------------------------------------------------------
     # accounting
@@ -285,17 +288,12 @@ class ConnectionCache:
             with self._cache_lock:
                 entry.sock = sock
                 entry.state = _CacheEntry.LIVE
-                self.stats["connects"] += 1
-                redial = uid in self._ever_connected
-                if redial:
-                    self.stats["redials"] += 1
+                self._stats["connects"].inc()
+                if uid in self._ever_connected:
+                    self._stats["redials"].inc()
                 self._ever_connected.add(uid)
                 self._note_peak_locked()
                 self._cache_lock.notify_all()
-            if self._c_connects is not None:
-                self._c_connects.inc()
-                if redial:
-                    self._c_redials.inc()
             return entry
 
     def unpin(self, entry: _CacheEntry) -> None:
@@ -340,7 +338,7 @@ class ConnectionCache:
         if len(victims) < excess:
             # Everything is pinned or in flux: overshoot rather than
             # wait on a pin this thread may itself be holding.
-            self.stats["evict_overshoots"] += 1
+            self._stats["evict_overshoots"].inc()
         return victims
 
     def _drain_and_close(self, entry: _CacheEntry) -> None:
@@ -369,7 +367,7 @@ class ConnectionCache:
             while sock.recv(4096):  # reprolint: allow[no-block-in-poller] -- EOF drain bounded by the settimeout(EVICT_DRAIN_TIMEOUT) above; on timeout the eviction proceeds without the ordering proof (counted)
                 pass
         except (TimeoutError, socket.timeout):
-            self.stats["evict_drain_timeouts"] += 1
+            self._stats["evict_drain_timeouts"].inc()
         except OSError:
             pass  # peer already reset the channel; nothing left to drain
         finally:
@@ -379,10 +377,8 @@ class ConnectionCache:
                 pass
         with self._cache_lock:
             self._entries.pop(entry.uid, None)
-            self.stats["evictions"] += 1
+            self._stats["evictions"].inc()
             self._cache_lock.notify_all()
-        if self._c_evictions is not None:
-            self._c_evictions.inc()
 
     # ------------------------------------------------------------------
     # shutdown / diagnostics
@@ -407,8 +403,7 @@ class ConnectionCache:
                 "write_entries": len(self._entries),
                 "read_channels": self._reads,
                 "peak": self.peak,
-                **self.stats,
-            }
+            } | self.stats
 
 
 @dataclass

@@ -64,7 +64,7 @@ def make_job(device: str, nprocs: int, options: dict | None = None):
     fabric, nio = _make_fabric(device, nprocs)
     devices = [new_instance(device) for _ in range(nprocs)]
     if traced:
-        from repro.trace import TracingDevice
+        from repro.obs.tracing import TracingDevice
 
         devices = [TracingDevice(d) for d in devices]
     pids_out: list = [None] * nprocs

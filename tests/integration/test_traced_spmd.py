@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
+from repro.obs.merge import load_trace_dir
 from repro.runtime.launcher import SpmdError, run_spmd
 
 
@@ -18,10 +19,16 @@ class TestTracedJobs:
 
         results, traces = run_spmd(main, 2, trace=True)
         assert results == ["sent", "traced!"]
-        sends = [e for e in traces[0].events() if e.op in ("send", "isend")]
-        recvs = [e for e in traces[1].events() if e.op in ("recv", "irecv")]
+        sends = [
+            e for e in traces[0].events()
+            if e["ev"] in ("mpi.send.post", "mpi.isend.post")
+        ]
+        recvs = [
+            e for e in traces[1].events()
+            if e["ev"] in ("mpi.recv.post", "mpi.irecv.post")
+        ]
         assert sends and recvs
-        assert sends[0].tag == 5
+        assert sends[0]["tag"] == 5
 
     def test_collectives_visible_in_traces(self):
         def main(env):
@@ -53,8 +60,37 @@ class TestTracedJobs:
         assert traces is not None
         stalled = traces[1].detect_stalled(min_age_s=0.5)
         assert stalled, "the hung receive should be reported"
-        assert stalled[0].tag == 12345
-        assert stalled[0].op in ("recv", "irecv")
+        assert stalled[0]["tag"] == 12345
+        assert stalled[0]["ev"] in ("mpi.recv.post", "mpi.irecv.post")
+
+    def test_mpi_jsonl_export(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
+
+        def main(env):
+            comm = env.COMM_WORLD
+            if comm.rank() == 0:
+                comm.send("ping", dest=1, tag=1)
+                return comm.recv(source=1, tag=2)
+            msg = comm.recv(source=0, tag=1)
+            comm.send("pong", dest=0, tag=2)
+            return msg
+
+        results, traces = run_spmd(main, 2, trace=True)
+        assert results == ["pong", "ping"]
+        files = load_trace_dir(tmp_path)
+        # The tracer's ``mpi`` files sit next to the device engines' own.
+        device_labels = {t.label for t in files} - {"mpi"}
+        assert len(device_labels) == 1 and len(files) == 4
+        mpi_files = {t.rank: t for t in files if t.label == "mpi"}
+        assert sorted(mpi_files) == sorted(tr.id().uid for tr in traces)
+        for tracer in traces:
+            trace = mpi_files[tracer.id().uid]
+            posts = {e["id"] for e in trace.events if e["ev"].endswith(".post")}
+            completes = {
+                e["id"] for e in trace.events if e["ev"].endswith(".complete")
+            }
+            assert posts and posts <= completes
+            assert tracer.events() == trace.events
 
     def test_no_trace_returns_plain_results(self):
         def main(env):

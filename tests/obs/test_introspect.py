@@ -15,7 +15,7 @@ from repro.obs.introspect import (
     stall_snapshot,
     write_stall_file,
 )
-from repro.trace import TracingDevice
+from repro.obs.tracing import TracingDevice
 from tests.conftest import make_job
 
 
@@ -118,14 +118,15 @@ class TestStallSnapshot:
         try:
             traced[1].irecv(Buffer(), pids[0], 9, 0)  # never satisfied
             time.sleep(0.05)
-            snap = stall_snapshot(devices=traced, tracers=traced)
+            snap = stall_snapshot(devices=traced)
             assert len(snap["devices"]) == 2
             (op,) = snap["pending_operations"]
             assert op["op"] == "irecv"
             assert op["tag"] == 9
+            assert op["rank"] == 1
             assert op["age_s"] >= 0.05
             # min_age_s filters young operations out.
-            snap2 = stall_snapshot(tracers=traced, min_age_s=60.0)
+            snap2 = stall_snapshot(devices=traced, min_age_s=60.0)
             assert snap2["pending_operations"] == []
         finally:
             for d in devices:
@@ -151,9 +152,7 @@ class TestSignalHandler:
         devices, pids = make_job("smdev", 2)
         traced = [TracingDevice(d) for d in devices]
         seen = []
-        previous = install_stall_handler(
-            devices=traced, tracers=traced, on_snapshot=seen.append
-        )
+        previous = install_stall_handler(devices=traced, on_snapshot=seen.append)
         try:
             traced[0].irecv(Buffer(), pids[1], 3, 0)
             os.kill(os.getpid(), signal.SIGUSR1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer
+from repro.obs.tracing import TracingDevice
 from repro.testing import (
     InstrumentedLock,
     LockGraph,
@@ -14,7 +15,6 @@ from repro.testing import (
     instrument_engine,
     wait_until,
 )
-from repro.trace import TracingDevice
 from repro.xdev.device import DeviceConfig, new_instance
 from repro.xdev.smdev import SMFabric
 

@@ -1,14 +1,15 @@
 """Tests for the communication tracing decorator."""
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.buffer import Buffer
+from repro.obs.tracing import TracingDevice
 from repro.testing import wait_until
-from repro.trace import TracingDevice
 from tests.conftest import make_job
 
 
@@ -19,6 +20,20 @@ def traced_pair():
     yield traced, pids
     for d in devices:
         d.finish()
+
+
+def records(tracer, ev):
+    """The tracer's retained records named ``mpi.<ev>``."""
+    return [e for e in tracer.events() if e["ev"] == f"mpi.{ev}"]
+
+
+def completed(tracer, post):
+    """True once *post* has its matching ``.complete`` record."""
+    base = post["ev"].removesuffix(".post")
+    return any(
+        e["ev"] == f"{base}.complete" and e["id"] == post["id"]
+        for e in tracer.events()
+    )
 
 
 def send_buffer(arr):
@@ -51,16 +66,16 @@ class TestRecording:
         traced[1].recv(rbuf, pids[0], 5, 0)
         t.join(10)
 
-        sends = [e for e in traced[0].events() if e.op == "send"]
+        sends = records(traced[0], "send.post")
         assert len(sends) == 1
-        assert sends[0].tag == 5
-        assert sends[0].peer == pids[1].uid
-        assert sends[0].size == 37  # 5-byte header + 32 payload
-        assert sends[0].completed_at is not None
+        assert sends[0]["tag"] == 5
+        assert sends[0]["peer"] == pids[1].uid
+        assert sends[0]["size"] == 37  # 5-byte header + 32 payload
+        assert completed(traced[0], sends[0])
 
-        recvs = [e for e in traced[1].events() if e.op == "recv"]
+        recvs = records(traced[1], "recv.post")
         assert len(recvs) == 1
-        assert recvs[0].completed_at is not None
+        assert completed(traced[1], recvs[0])
 
     def test_pending_irecv_listed(self, traced_pair):
         traced, pids = traced_pair
@@ -68,7 +83,7 @@ class TestRecording:
         req = traced[1].irecv(rbuf, pids[0], 9, 0)
         pending = traced[1].pending_events()
         assert len(pending) == 1
-        assert pending[0].op == "irecv"
+        assert pending[0]["ev"] == "mpi.irecv.post"
         # Satisfy it: pending list empties.
         traced[0].send(send_buffer(np.array([1], dtype=np.int8)), pids[1], 9, 0)
         req.wait(timeout=10)
@@ -91,7 +106,7 @@ class TestRecording:
         rbuf = Buffer()
         traced[1].recv(rbuf, pids[0], 1, 0)
         events = json.loads(traced[0].dump_json())
-        assert any(e["op"] == "send" for e in events)
+        assert any(e["ev"] == "mpi.send.post" for e in events)
 
     def test_clear(self, traced_pair):
         traced, pids = traced_pair
@@ -105,7 +120,7 @@ class TestRecording:
         traced, pids = traced_pair
         for i in range(4):
             traced[0].iprobe(pids[1], i, 0)
-        seqs = [e.seq for e in traced[0].events()]
+        seqs = [e["id"] for e in traced[0].events()]
         assert seqs == sorted(seqs)
 
     def test_summary_counts_bytes_received(self, traced_pair):
@@ -139,10 +154,10 @@ class TestRecording:
                 break
             time.sleep(0.002)
         assert status is not None
-        probes = [e for e in traced[1].events() if e.op == "iprobe"]
-        assert probes[0].matched is False
-        assert probes[-1].matched is True
-        assert probes[-1].size == status.size
+        probes = records(traced[1], "iprobe")
+        assert probes[0]["matched"] is False
+        assert probes[-1]["matched"] is True
+        assert probes[-1]["size"] == status.size
         summary = traced[1].summary()
         assert summary["probe_hits"] == 1
         assert summary["probe_misses"] >= 1
@@ -155,10 +170,9 @@ class TestRecording:
         traced[1].recv(Buffer(), pids[0], 1, 0)
         peeker.join(10)
         assert box["req"] is not None
-        peeks = [e for e in traced[1].events() if e.op == "peek"]
+        peeks = records(traced[1], "peek")
         assert len(peeks) == 1
-        assert peeks[0].matched is True
-        assert peeks[0].completed_at is not None
+        assert peeks[0]["matched"] is True
 
 
 class TestStallDetection:
@@ -169,7 +183,7 @@ class TestStallDetection:
 
         time.sleep(0.02)
         stale = traced[1].detect_stalled(min_age_s=0.01)
-        assert [e.op for e in stale] == ["irecv"]
+        assert [e["ev"] for e in stale] == ["mpi.irecv.post"]
         assert traced[1].detect_stalled(min_age_s=60.0) == []
         # Unstall so teardown is clean.
         traced[0].send(send_buffer(np.array([1], dtype=np.int8)), pids[1], 9, 0)
@@ -179,6 +193,61 @@ class TestStallDetection:
         a = traced[0].clock()
         b = traced[0].clock()
         assert 0 <= a <= b
+
+
+class TestMemoryBound:
+    def test_ring_bounds_events_and_keeps_hung_recv(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_BUFFER", "64")
+        devices, pids = make_job("smdev", 2)
+        traced = TracingDevice(devices[1])
+        try:
+            traced.irecv(Buffer(), pids[0], 4242, 0)  # never satisfied
+            for _ in range(1000):
+                traced.iprobe(pids[0], 1, 0)
+            assert len(traced.events()) == 64
+            assert traced.summary()["dropped"] > 0
+            # The post fell out of the ring; the pending map keeps it.
+            assert [e["tag"] for e in traced.detect_stalled(0)] == [4242]
+        finally:
+            for d in devices:
+                d.finish()
+
+
+class TestConcurrentRecording:
+    def test_pending_map_settles_under_thread_churn(self, traced_pair):
+        """Posts and completions race on many threads (the completion
+        listener runs on whichever thread completes the request); a
+        lost insert or remove would leave a pending entry behind."""
+        traced, pids = traced_pair
+        nthreads, per_thread = 8, 25
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def worker(k):
+                for i in range(per_thread):
+                    tag = 1000 + k * per_thread + i
+                    req = traced[1].irecv(Buffer(), pids[0], tag, 0)
+                    traced[0].isend(
+                        send_buffer(np.array([i], dtype=np.int8)), pids[1], tag, 0
+                    ).wait(timeout=10)
+                    req.wait(timeout=10)
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        wait_until(lambda: not traced[0].pending_events(), message="sends settle")
+        assert traced[1].pending_events() == []
+        for tracer, op in ((traced[0], "isend"), (traced[1], "irecv")):
+            posts = {e["id"] for e in records(tracer, f"{op}.post")}
+            completes = {e["id"] for e in records(tracer, f"{op}.complete")}
+            assert len(posts) == nthreads * per_thread
+            assert posts == completes
 
 
 class TestDelegation:
