@@ -24,8 +24,9 @@ AST:
     in :mod:`repro.shm.ring`, slot-payload stores must precede the
     cursor publish store.
 
-Run it with ``python -m repro.analysis [--json] [--baseline FILE]
-[--diff REF] [paths...]``; see ``docs/analysis.md``.
+Run it with ``python -m repro.analysis [--json] [--diff REF]
+[paths...]``; waivers are inline ``# reprolint: allow[...] -- why``
+directives only; see ``docs/analysis.md``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """reprolint command line: ``python -m repro.analysis [options] [paths]``.
 
-Exit codes: 0 — clean (modulo baseline and inline allows); 1 — at
-least one live finding; 2 — usage error, unparseable baseline, or a
-``--diff`` ref that does not resolve.
+Exit codes: 0 — clean (modulo inline allows); 1 — at least one live
+finding; 2 — usage error or a ``--diff`` ref that does not resolve.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import blocking, locks, pools, publish, segments
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.core import Finding, Project
@@ -114,16 +112,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--out", type=Path, help="also write the JSON report to this file"
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help=f"baseline file (default: ./{baseline_mod.DEFAULT_NAME} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--diff",
         metavar="REF",
         help="report only findings in files changed vs this git ref "
@@ -157,36 +145,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 2
         findings = _filter_diff(findings, changed)
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default_bl = Path(baseline_mod.DEFAULT_NAME)
-        baseline_path = default_bl if default_bl.exists() else None
-
-    if args.write_baseline:
-        target = args.baseline or Path(baseline_mod.DEFAULT_NAME)
-        target.write_text(baseline_mod.render(findings), encoding="utf-8")
-        print(f"reprolint: wrote {len(findings)} suppression(s) to {target}")
-        return 0
-
-    baselined: list[Finding] = []
-    stale: list[dict] = []
-    if baseline_path is not None:
-        try:
-            entries = baseline_mod.load(baseline_path)
-        except baseline_mod.BaselineError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        findings, baselined, stale = baseline_mod.apply(findings, entries)
-        if args.diff and changed is not None:
-            stale = []  # a partial view can't judge staleness
-
     report = {
         "version": 1,
         "paths": [str(p) for p in paths],
         "diff_ref": args.diff,
         "findings": [f.to_json() for f in findings],
-        "baselined": [f.to_json() for f in baselined],
-        "stale_baseline_entries": stale,
     }
     if args.out:
         args.out.write_text(
@@ -197,14 +160,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         for f in findings:
             print(f.render())
-        for e in stale:
-            print(
-                "reprolint: warning: stale baseline entry "
-                f"({e['checker']} @ {e['path']} [{e['symbol']}]) — remove it"
-            )
         print(
             f"reprolint: {len(findings)} finding(s), "
-            f"{len(baselined)} baselined, {len(project.files)} file(s)"
+            f"{len(project.files)} file(s)"
         )
     return 1 if findings else 0
 

@@ -2,8 +2,8 @@
 
 A :class:`Project` is the parsed set of files under analysis.  Checkers
 consume it and emit :class:`Finding` objects; the CLI filters those
-through inline ``# reprolint: allow[...]`` directives and the committed
-baseline before deciding the exit code.
+through inline ``# reprolint: allow[...]`` directives before deciding
+the exit code.
 
 Inline suppression syntax::
 
@@ -41,14 +41,6 @@ class Finding:
     symbol: str  # dotted name of the enclosing function/class ('' at module scope)
     message: str
     severity: str = "error"
-
-    def key(self) -> tuple[str, str, str, str]:
-        """Line-insensitive identity used for baseline matching.
-
-        Deliberately excludes the line number so a baseline entry
-        survives unrelated edits above the finding.
-        """
-        return (self.checker, self.path, self.symbol, self.message)
 
     def to_json(self) -> dict:
         return {
@@ -108,12 +100,6 @@ class SourceFile:
             if sup is not None and sup.justified and sup.covers(checker):
                 return True
         return False
-
-    def line_text(self, line: int) -> str:
-        lines = self.source.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return ""
 
 
 def _parse_suppressions(source: str) -> dict[int, Suppression]:

@@ -69,12 +69,6 @@ def _releases_var(node: ast.AST, var: str) -> bool:
     return False
 
 
-def _mentions_var(node: ast.AST, var: str) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == var for sub in ast.walk(node)
-    )
-
-
 class _Block:
     """A statement list plus the path of blocks above it."""
 

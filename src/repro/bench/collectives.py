@@ -201,31 +201,6 @@ def measure_cell_variants(
     return out
 
 
-def measure_collective(
-    collective: str,
-    nbytes: int,
-    nprocs: int,
-    device: str = "smdev",
-    pins: Optional[dict[str, str]] = None,
-    iters: int = 20,
-    trials: int = 3,
-    rounds: int = 1,
-) -> dict[str, Any]:
-    """Time one collective configuration (single-variant convenience)."""
-    cells = measure_cell_variants(
-        collective,
-        nbytes,
-        nprocs,
-        [("cell", pins)],
-        device=device,
-        iters=iters,
-        trials=trials,
-        rounds=rounds,
-    )
-    cell = cells["cell"]
-    return {"time_us": cell["time_us"], "copy_stats": cell["copy_stats"]}
-
-
 def _selected_algorithm(collective: str, nbytes: int, nprocs: int) -> str:
     """The algorithm auto-selection will pick (it is deterministic)."""
     from repro.mpi import algorithms, tuning

@@ -207,6 +207,10 @@ class WaitAnyQueue:
             return len(self._queue)
 
 
+#: Serialises the lazy creation of a device's queue.
+_QUEUE_CREATE_LOCK = threading.Lock()
+
+
 def waitany(
     device, requests: Sequence[Request], timeout: Optional[float] = None
 ) -> tuple[int, Status]:
@@ -214,9 +218,14 @@ def waitany(
 
     The queue is created lazily and cached on the device instance
     (the paper's "static WaitanyQue object", scoped per device).
+    Exactly once: two queues would mean two front peekers, and one
+    could consume the completion the other's caller is waiting for.
     """
     queue = getattr(device, "_waitany_queue", None)
     if queue is None:
-        queue = WaitAnyQueue(device)
-        device._waitany_queue = queue
+        with _QUEUE_CREATE_LOCK:
+            queue = getattr(device, "_waitany_queue", None)
+            if queue is None:
+                queue = WaitAnyQueue(device)
+                device._waitany_queue = queue
     return queue.waitany(requests, timeout=timeout)

@@ -14,12 +14,11 @@ Subcommands::
         spans, causal-flow summary, top latencies, unmatched
         receives).  ``--critical-path`` appends the longest dependency
         chain with wait/wire/compute attribution; ``--json FILE``
-        writes a metric snapshot usable as a regression baseline.
+        writes a metric snapshot (span latencies, stage table, flow
+        summary, critical-path totals) that CI asserts on.
 
-    python -m repro.obs report --regress OLD.json NEW.json [--fail-on-regress]
-        Diff two metric snapshots; prints every latency metric that
-        moved and flags >20% growth.  Exit code stays 0 (advisory)
-        unless ``--fail-on-regress`` is given.
+Regression diffs between two runs are ``perf/aa.py``'s job, not this
+CLI's.
 """
 
 from __future__ import annotations
@@ -30,14 +29,7 @@ import sys
 from pathlib import Path
 
 from repro.obs.critical import critical_path, format_critical_path
-from repro.obs.merge import analyze_directory
-from repro.obs.regress import (
-    DEFAULT_THRESHOLD,
-    build_snapshot,
-    compare_snapshots,
-    load_snapshot,
-    write_snapshot,
-)
+from repro.obs.merge import analyze_directory, build_snapshot, write_snapshot
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,13 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         "--quiet", action="store_true", help="suppress the text report"
     )
 
-    p_report = sub.add_parser(
-        "report", help="print the text report / diff metric snapshots"
-    )
+    p_report = sub.add_parser("report", help="print the text report")
     p_report.add_argument(
-        "dir", nargs="?",
-        help="directory of per-rank *.jsonl trace files "
-        "(omitted in --regress mode)",
+        "dir", nargs="?", help="directory of per-rank *.jsonl trace files"
     )
     p_report.add_argument(
         "--critical-path", action="store_true",
@@ -69,31 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_report.add_argument(
         "--json", metavar="FILE", dest="json_out",
-        help="write a metric snapshot (regression baseline) to FILE",
-    )
-    p_report.add_argument(
-        "--regress", nargs=2, metavar=("OLD", "NEW"),
-        help="diff two metric snapshots instead of reading traces",
-    )
-    p_report.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help="relative latency growth that counts as a regression "
-        "(default %(default)s)",
-    )
-    p_report.add_argument(
-        "--fail-on-regress", action="store_true",
-        help="exit non-zero when a regression is flagged "
-        "(default: advisory warnings only)",
+        help="write a metric snapshot to FILE",
     )
 
     ns = parser.parse_args(argv)
 
-    if ns.command == "report" and ns.regress:
-        return _regress(ns)
-
     if ns.dir is None:
-        print("report: a trace directory is required (or use --regress)",
-              file=sys.stderr)
+        print("report: a trace directory is required", file=sys.stderr)
         return 2
     directory = Path(ns.dir)
     if not directory.is_dir():
@@ -118,28 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         snapshot = build_snapshot(analysis)
         path = write_snapshot(snapshot, ns.json_out)
         print(f"wrote metric snapshot {path}")
-    return 0
-
-
-def _regress(ns: argparse.Namespace) -> int:
-    old_path, new_path = ns.regress
-    try:
-        old = load_snapshot(old_path)
-        new = load_snapshot(new_path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot load snapshot: {exc}", file=sys.stderr)
-        return 2
-    lines, regressions = compare_snapshots(old, new, threshold=ns.threshold)
-    print(f"metric diff {old_path} -> {new_path}:")
-    for line in lines:
-        print(line)
-    if regressions:
-        print(
-            f"WARNING: {len(regressions)} latency regression(s) beyond "
-            f"{ns.threshold * 100:.0f}%: {', '.join(regressions)}"
-        )
-        return 1 if ns.fail_on_regress else 0
-    print("no latency regressions.")
     return 0
 
 

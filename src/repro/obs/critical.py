@@ -23,7 +23,7 @@ every microsecond of the chain to one of three buckets:
     the application was doing real work (or at least not messaging).
 
 The result is printed by ``python -m repro.obs report --critical-path``
-and embedded in the ``--json`` metric snapshot for regression diffing.
+and summarised in the ``--json`` metric snapshot.
 """
 
 from __future__ import annotations

@@ -11,7 +11,10 @@ Backs ``python -m repro.obs merge <dir>``: reads every ``*.jsonl`` the
   marks (RTS/RTR/data), and ``s``/``f`` *flow events* drawing an arrow
   from each send span to the recv span that consumed its message, and
 * a text report: per-peer byte matrix, protocol-stage latency table,
-  flow-stitching summary, top span latencies, unmatched receives.
+  flow-stitching summary, top span latencies, unmatched receives, and
+* for ``python -m repro.obs report DIR --json FILE``, a small metric
+  snapshot: span-latency aggregates per (op, protocol), the stage
+  table, the flow summary and the critical-path attribution.
 
 Clock model: ``wall_t0`` anchors give the coarse alignment, then the
 *causal* edges correct it.  Every message carries a flow id
@@ -543,6 +546,63 @@ def _stage_table(spans: Iterable[Span]) -> dict[str, dict[str, Any]]:
             }
             for stage, vals in stages.items()
         }
+    return out
+
+
+#: ``"version"`` of the ``report --json`` snapshot.
+SNAPSHOT_VERSION = 1
+
+
+def build_snapshot(analysis: MergeAnalysis) -> dict[str, Any]:
+    """The ``report --json`` metric snapshot of *analysis*."""
+    from repro.obs.critical import critical_path
+
+    span_agg: dict[str, dict[str, Any]] = {}
+    groups: dict[str, list[float]] = {}
+    for span in analysis.spans:
+        if span.base not in ("send", "recv"):
+            continue
+        groups.setdefault(f"{span.base}/{span.proto or 'eager'}", []).append(
+            span.dur_us
+        )
+    for key, vals in sorted(groups.items()):
+        vals.sort()
+        span_agg[key] = {
+            "count": len(vals),
+            "mean_us": round(sum(vals) / len(vals), 2),
+            "p50_us": round(vals[len(vals) // 2], 2),
+            "max_us": round(vals[-1], 2),
+        }
+
+    crit = critical_path(analysis.spans, analysis.edges)
+    flows = analysis.flows
+    return {
+        "version": SNAPSHOT_VERSION,
+        "spans": span_agg,
+        "stages": _stage_table(analysis.spans),
+        "flows": {
+            "sends": flows.sends,
+            "recvs": flows.recvs,
+            "paired": flows.paired,
+            "pair_ratio": round(flows.pair_ratio, 4),
+            "dropped": flows.dropped,
+            "unmatched": flows.unmatched,
+        },
+        "critical_path": {
+            "total_us": crit["total_us"],
+            "wait_us": crit["wait_us"],
+            "wire_us": crit["wire_us"],
+            "compute_us": crit["compute_us"],
+            "steps": len(crit["steps"]),
+        },
+    }
+
+
+def write_snapshot(snapshot: dict[str, Any], path: Path | str) -> Path:
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n",
+                   encoding="utf-8")
     return out
 
 

@@ -1,11 +1,11 @@
-"""Concurrency-torture harness: chaosdev, seeded scheduling, watchdog.
+"""Concurrency-torture harness: chaos transport, seeded scheduling, watchdog.
 
 The correctness-tooling layer behind the paper's thread-safety claim.
 Three cooperating pieces:
 
-* :mod:`repro.testing.chaos` — ``chaosdev``, a wrapper Device that
-  injects seeded, deterministic frame-level faults (delays, safe
-  reordering, duplicated RTS/RTR, truncated payloads);
+* :mod:`repro.testing.chaos` — :class:`ChaosTransport`, a transport
+  decorator that injects seeded, deterministic frame-level faults
+  (delays, safe reordering, duplicated RTS/RTR, truncated payloads);
 * :mod:`repro.testing.scheduler` — a seeded interleaving scheduler,
   a transport decorator that replays smdev delivery choices from a
   PRNG seed;
@@ -19,7 +19,6 @@ synchronization and pytest fixtures in :mod:`repro.testing.fixtures`.
 
 from repro.testing.chaos import (
     ChaosConfig,
-    ChaosDevice,
     ChaosEvent,
     ChaosTransport,
     SEED_ENV_VAR,
@@ -41,7 +40,6 @@ from repro.testing.watchdog import (
 
 __all__ = [
     "ChaosConfig",
-    "ChaosDevice",
     "ChaosEvent",
     "ChaosTransport",
     "SEED_ENV_VAR",

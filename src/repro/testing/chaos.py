@@ -1,12 +1,10 @@
-"""chaosdev — seeded, deterministic frame-level fault injection.
+"""ChaosTransport — seeded, deterministic frame-level fault injection.
 
 The protocol engine's error paths (duplicate control frames, truncated
 payloads, delayed and reordered delivery) are exercised by real
-networks only by luck.  chaosdev exercises them on purpose: a wrapper
-:class:`~repro.xdev.device.Device` (composable over smdev/niodev, like
-:class:`repro.obs.tracing.TracingDevice`) swaps the engine's transport for a
-:class:`ChaosTransport` that perturbs every outbound frame according
-to a seeded plan.
+networks only by luck.  :class:`ChaosTransport` exercises them on
+purpose: installed as an engine's transport (over smdev's or niodev's
+own), it perturbs every outbound frame according to a seeded plan.
 
 Determinism is the point.  Every fault decision is drawn from a PRNG
 keyed on ``(seed, frame content, occurrence number)`` — *not* on call
@@ -23,13 +21,17 @@ Fault safety rules (so chaos breaks implementations, not semantics):
 * payload truncation is off by default (it loses the message by
   design) and is enabled only by tests that assert the error path.
 
-Usage::
+Usage, on an initialised engine-based device::
 
-    from repro.testing import ChaosConfig, ChaosDevice
+    from repro.testing import ChaosConfig, ChaosTransport
 
-    dev = ChaosDevice(inner_device, ChaosConfig(seed=7, duplicate_prob=0.2))
-    # or via the registry, wrapping smdev:
-    dev = new_instance("chaosdev")   # options: chaos_seed, chaos_inner, ...
+    engine = dev.engine
+    engine.transport = ChaosTransport(
+        engine.transport, ChaosConfig(seed=7, duplicate_prob=0.2)
+    )
+
+:func:`repro.testing.fixtures.make_chaos_job` does this for every rank
+of an smdev job.
 """
 
 from __future__ import annotations
@@ -38,12 +40,9 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.buffer import Buffer
-from repro.mpjdev.request import Request, Status
-from repro.xdev.device import Device, DeviceConfig, new_instance, register_device
 from repro.xdev.exceptions import XDevException
 from repro.xdev.frames import FrameHeader, FrameType
 from repro.xdev.processid import ProcessID
@@ -143,6 +142,10 @@ class _HeldFrame:
         # perturbs timing, never demux.
         self.route = route
 
+    def frame(self) -> tuple:
+        """The ``inner.write`` arguments that deliver this frame."""
+        return (self.dest, self.segments, self.route, self.on_delivered)
+
 
 #: Frame types whose delivery order is matching-relevant: they enter
 #: the four-key matching queues, so per-(context, tag) FIFO from one
@@ -174,7 +177,13 @@ class ChaosTransport(Transport):
 
     A held-back frame outlives ``write``, so it is kept as
     :func:`kept_frame`; duplicates are written before ``write``
-    returns and need no copy.
+    returns and need no copy — unless they queue behind a release.
+
+    Releasing a held frame takes it out of ``_held`` under the lock
+    but writes it after the lock is dropped, so until that write ends
+    its ``(dest, match key)`` stream is *releasing*: new frames of the
+    stream queue behind it in ``_releasing`` and the releasing thread
+    writes them, in order, before the stream is clear again.
     """
 
     def __init__(self, inner: Transport, config: ChaosConfig) -> None:
@@ -186,6 +195,9 @@ class ChaosTransport(Transport):
         self._occurrences: dict[tuple, int] = {}
         #: dest uid -> held frame awaiting a reorder partner.
         self._held: dict[int, _HeldFrame] = {}
+        #: (dest uid, match key) of a release in flight -> the frames
+        #: queued behind it, as ``inner.write`` argument tuples.
+        self._releasing: dict[tuple, list[tuple]] = {}
         self._generation = 0
         self._events: list[ChaosEvent] = []
         self._closed = False
@@ -259,12 +271,38 @@ class ChaosTransport(Transport):
         self._engine = engine
         self.inner.start(engine)
 
-    def _release(self, held: _HeldFrame) -> None:
-        """Deliver a held frame.  Like every inner write here it takes
-        no lock of chaos's own: ``inner.write`` is thread-safe and
-        ordered by contract, whichever thread (caller, hold-flush
-        timer) runs it, and it owns the fence from then on."""
-        self.inner.write(held.dest, held.segments, held.route, held.on_delivered)
+    def _begin_release(self, held: _HeldFrame) -> Optional[tuple]:
+        """Mark *held*'s stream releasing (caller holds ``_lock``).
+
+        Frames without a match key may overtake anything, so nothing
+        queues behind them and they get no stream.
+        """
+        if held.match_key is None:
+            return None
+        stream = (held.dest.uid, held.match_key)
+        self._releasing[stream] = []
+        return stream
+
+    def _release(self, stream: Optional[tuple], frames: list) -> None:
+        """Write *frames*, then whatever queued behind them on *stream*.
+
+        Like every inner write here it runs without chaos's lock:
+        smdev delivers inline, so a lock held across the write would
+        be taken again by the receiver's replies and, between two
+        ranks' transports, deadlock ABBA.  The queue keeps the order
+        instead, and ``inner.write`` owns each fence from then on.
+        """
+        while True:
+            for frame in frames:
+                self.inner.write(*frame)
+            if stream is None:
+                return
+            with self._lock:
+                frames = self._releasing[stream]
+                if not frames:
+                    del self._releasing[stream]
+                    return
+                self._releasing[stream] = []
 
     def write(
         self, dest: ProcessID, segments, route: int = 0, on_delivered=None
@@ -306,13 +344,24 @@ class ChaosTransport(Transport):
         )
 
         released: Optional[_HeldFrame] = None
+        stream: Optional[tuple] = None
         swap = False
         held_entry: Optional[_HeldFrame] = None
+        queue = None
         with self._lock:
-            held = self._held.get(dest.uid)
-            if held is not None:
-                del self._held[dest.uid]
+            if match_key is not None:
+                queue = self._releasing.get((dest.uid, match_key))
+            held = None if queue is not None else self._held.pop(dest.uid, None)
+            if queue is not None:
+                # An earlier frame of this stream is being released:
+                # queue behind it; the releasing thread writes us.
+                kept = kept_frame(segments, on_delivered)
+                queue.append((dest, kept, route, on_delivered))
+                if duplicate:
+                    queue.append((dest, kept, route, None))
+            elif held is not None:
                 released = held
+                stream = self._begin_release(held)
                 # Swapping is only safe across different matching keys;
                 # identical keys must keep their original order.
                 swap = (
@@ -327,6 +376,11 @@ class ChaosTransport(Transport):
                     self._generation, on_delivered, route,
                 )
                 self._held[dest.uid] = held_entry
+
+        if queue is not None:
+            if duplicate:
+                self._record("duplicate", header, occ)
+            return
 
         if held_entry is not None:
             self._record("hold", header, occ)
@@ -343,15 +397,14 @@ class ChaosTransport(Transport):
                 self.inner.write(dest, segments, route)
             return
 
+        own = (dest, segments, route, on_delivered)
         if released is not None and swap:
             self._record("swap", header, occ)
-            self.inner.write(dest, segments, route, on_delivered)
-            self._release(released)
+            self._release(stream, [own, released.frame()])
         elif released is not None:
-            self._release(released)
-            self.inner.write(dest, segments, route, on_delivered)
+            self._release(stream, [released.frame(), own])
         else:
-            self.inner.write(dest, segments, route, on_delivered)
+            self.inner.write(*own)
         if duplicate:
             self._record("duplicate", header, occ)
             self.inner.write(dest, segments, route)
@@ -364,143 +417,19 @@ class ChaosTransport(Transport):
             if current is None or current.generation != entry.generation:
                 return  # already released by a later write
             del self._held[dest.uid]
-        self._release(entry)
+            stream = self._begin_release(entry)
+        self._release(stream, [entry.frame()])
 
     def flush(self) -> None:
         """Deliver every held frame now (tests call this at barriers)."""
         with self._lock:
             held = list(self._held.values())
             self._held.clear()
-        for entry in held:
-            self._release(entry)
+            streams = [self._begin_release(entry) for entry in held]
+        for stream, entry in zip(streams, held):
+            self._release(stream, [entry.frame()])
 
     def close(self) -> None:
         self._closed = True
         self.flush()
         self.inner.close()
-
-
-class ChaosDevice(Device):
-    """A Device decorator running its inner device's engine over a
-    :class:`ChaosTransport`.
-
-    Composable exactly like :class:`repro.obs.tracing.TracingDevice`; the
-    inner device must be engine-based (smdev/niodev), because the
-    faults are injected below the protocol engine.
-    """
-
-    device_name = "chaosdev"
-
-    def __init__(
-        self,
-        inner: Optional[Device] = None,
-        config: Optional[ChaosConfig] = None,
-    ) -> None:
-        self.inner = inner
-        self.config = config
-        self.chaos: Optional[ChaosTransport] = None
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def init(self, args: DeviceConfig) -> list[ProcessID]:
-        options = dict(args.options or {})
-        if self.inner is None:
-            self.inner = new_instance(str(options.get("chaos_inner", "smdev")))
-        if self.config is None:
-            cfg = options.get("chaos_config")
-            if cfg is None:
-                cfg = ChaosConfig.torture(seed_from_env(options.get("chaos_seed")))
-            elif options.get("chaos_seed") is not None:
-                cfg = replace(cfg, seed=int(options["chaos_seed"]))
-            self.config = cfg
-        pids = self.inner.init(args)
-        engine = getattr(self.inner, "engine", None)
-        if engine is None:
-            raise XDevException(
-                f"chaosdev needs an engine-based inner device, got "
-                f"{type(self.inner).__name__}"
-            )
-        # Swap the engine's transport: every outbound frame now passes
-        # through the fault plan.  Inbound frames were perturbed by the
-        # sender's own ChaosTransport, so outbound interception covers
-        # the whole fabric once every rank is wrapped.
-        self.chaos = ChaosTransport(engine.transport, self.config)
-        engine.transport = self.chaos
-        return pids
-
-    @property
-    def engine(self):
-        return self.inner.engine  # type: ignore[union-attr]
-
-    def id(self) -> ProcessID:
-        return self.inner.id()
-
-    def finish(self) -> None:
-        if self.inner is not None:
-            self.inner.finish()
-
-    def get_send_overhead(self) -> int:
-        return self.inner.get_send_overhead()
-
-    def get_recv_overhead(self) -> int:
-        return self.inner.get_recv_overhead()
-
-    # ------------------------------------------------------------------
-    # chaos introspection
-
-    def events(self) -> list[ChaosEvent]:
-        return self.chaos.events() if self.chaos is not None else []
-
-    def schedule(self) -> list[tuple]:
-        return self.chaos.schedule() if self.chaos is not None else []
-
-    @property
-    def seed(self) -> int:
-        assert self.config is not None
-        return self.config.seed
-
-    # ------------------------------------------------------------------
-    # point-to-point — pure delegation
-
-    def isend(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> Request:
-        return self.inner.isend(buf, dest, tag, context)
-
-    def send(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> None:
-        self.inner.send(buf, dest, tag, context)
-
-    def issend(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> Request:
-        return self.inner.issend(buf, dest, tag, context)
-
-    def ssend(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> None:
-        self.inner.ssend(buf, dest, tag, context)
-
-    def irecv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Request:
-        return self.inner.irecv(buf, src, tag, context)
-
-    def recv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Status:
-        return self.inner.recv(buf, src, tag, context)
-
-    def iprobe(self, src: ProcessID | int, tag: int, context: int) -> Status | None:
-        return self.inner.iprobe(src, tag, context)
-
-    def probe(self, src: ProcessID | int, tag: int, context: int) -> Status:
-        return self.inner.probe(src, tag, context)
-
-    def improbe(self, src: ProcessID | int, tag: int, context: int):
-        return self.inner.improbe(src, tag, context)
-
-    def mprobe(self, src: ProcessID | int, tag: int, context: int):
-        return self.inner.mprobe(src, tag, context)
-
-    def mrecv(self, match, buf: Buffer) -> Request:
-        return self.inner.mrecv(match, buf)
-
-    def introspect(self) -> dict:
-        return self.inner.introspect()
-
-    def peek(self, timeout: float | None = None) -> Request:
-        return self.inner.peek(timeout=timeout)
-
-
-register_device("chaosdev")(ChaosDevice)

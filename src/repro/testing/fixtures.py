@@ -12,7 +12,9 @@ Fixtures:
     ``REPRO_CHAOS_SEED=... `` banner so the schedule can be replayed.
 
 ``chaos_job``
-    A 2-rank chaosdev-over-smdev job under the default torture mix,
+    A 2-rank smdev job whose engines write through a
+    :class:`~repro.testing.chaos.ChaosTransport` under the default
+    torture mix,
     with every engine's locks instrumented into a shared
     :class:`~repro.testing.watchdog.LockGraph`.
 
@@ -28,7 +30,7 @@ from typing import Optional
 
 import pytest
 
-from repro.testing.chaos import ChaosConfig, seed_from_env
+from repro.testing.chaos import ChaosConfig, ChaosTransport, seed_from_env
 from repro.testing.scheduler import (
     ScheduledInbox,
     ScheduledTransport,
@@ -47,19 +49,22 @@ def make_chaos_job(
     graph: Optional[LockGraph] = None,
     endpoints: Optional[int] = None,
 ):
-    """Stand up *nprocs* chaosdev-wrapped smdev ranks on one fabric.
+    """Stand up *nprocs* smdev ranks on one fabric, each engine writing
+    through a :class:`ChaosTransport` (``dev.engine.transport``).
 
-    *endpoints* overrides the ``REPRO_ENDPOINTS`` shard count so a
-    test can pin the sharding degree without env juggling.
+    Inbound frames were perturbed by the sender's own ChaosTransport,
+    so outbound interception covers the whole fabric.  *endpoints*
+    overrides the ``REPRO_ENDPOINTS`` shard count so a test can pin
+    the sharding degree without env juggling.
     """
     cfg = config if config is not None else ChaosConfig.torture(seed)
     fabric = SMFabric(nprocs, endpoints=endpoints)
     devices = []
     for rank in range(nprocs):
-        dev = new_instance("chaosdev")
-        dev.config = cfg
+        dev = new_instance("smdev")
         opts = dict(options or {})
         dev.init(DeviceConfig(rank=rank, nprocs=nprocs, fabric=fabric, options=opts))
+        dev.engine.transport = ChaosTransport(dev.engine.transport, cfg)
         if graph is not None:
             instrument_engine(dev.engine, graph)
         devices.append(dev)
@@ -159,7 +164,7 @@ class ChaosJob:
 
     def schedules(self) -> list[list[tuple]]:
         """Per-rank injected-fault schedules (for replay comparison)."""
-        return [d.schedule() for d in self.devices]
+        return [d.engine.transport.schedule() for d in self.devices]
 
 
 @pytest.fixture

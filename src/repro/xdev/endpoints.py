@@ -22,7 +22,7 @@ Two orthogonal mappings implement that here:
 
 Routing by content rather than by sending thread is deliberate: the
 same frame always takes the same route no matter which thread sent it
-or when, so seeded-schedule replays (PR 1) and chaosdev's content-keyed
+or when, so seeded-schedule replays and ChaosTransport's content-keyed
 fault decisions stay deterministic under endpoint sharding.  It also
 keeps MPI's non-overtaking rule structural: all frames of one
 ``(context, tag, src)`` stream share a route (the route key is a

@@ -306,7 +306,7 @@ class _MatchShard:
     threads probe-then-recv.
     """
 
-    __slots__ = ("lock", "mq", "ticker", "ticks", "waiters")
+    __slots__ = ("lock", "mq", "ticker", "ticks", "waiters", "probes")
 
     def __init__(self, mq: MessageQueues) -> None:
         self.lock = threading.Lock()
@@ -314,6 +314,17 @@ class _MatchShard:
         self.ticker = threading.Condition()
         self.ticks = 0
         self.waiters = 0
+        #: This shard's blocking-probe accounting, under ``ticker``.
+        self.probes = _probe_key()
+
+
+def _probe_key() -> dict[str, int]:
+    return {"blocking_probes": 0, "wakeups": 0, "futile_wakeups": 0}
+
+
+def _count_wakeups(probes: dict[str, int], wakeups: int) -> None:
+    probes["wakeups"] += wakeups
+    probes["futile_wakeups"] += max(wakeups - 1, 0)
 
 
 def _wc_key() -> dict[str, int]:
@@ -379,12 +390,8 @@ class ShardedMatcher:
         self._ticker = threading.Condition()
         self._ticks = 0
         self._probe_waiters = 0
-        #: Blocking-probe wakeup accounting (GIL-atomic increments).
-        #: ``futile_wakeups`` counts wakeups whose rescan found nothing
-        #: — the thundering-herd tax a shared ticker pays and per-shard
-        #: tickers mostly eliminate; ``perf/run.py``'s traced run
-        #: reports it per operation.
-        self.probe_stats = {"blocking_probes": 0, "wakeups": 0, "futile_wakeups": 0}
+        #: ANY_TAG blocking-probe accounting, under ``_ticker``.
+        self._wc_probes = _probe_key()
 
     # ------------------------------------------------------------------
     # routing
@@ -612,21 +619,18 @@ class ShardedMatcher:
         scan, so any store the scan misses finds the waiter hint set
         and bumps the tick the wait is watching.
         """
-        stats = self.probe_stats
-        stats["blocking_probes"] += 1
         wakeups = 0
         if tag != ANY_TAG:
             shard = self._shards[self.shard_index(context, tag)]
             with shard.ticker:
                 shard.waiters += 1
+                shard.probes["blocking_probes"] += 1
                 tick = shard.ticks
             try:
                 while True:
                     with shard.lock:
                         msg = shard.mq.find_message(context, tag, src_uid)
                     if msg is not None:
-                        stats["wakeups"] += wakeups
-                        stats["futile_wakeups"] += max(wakeups - 1, 0)
                         return msg
                     with shard.ticker:
                         while shard.ticks == tick:
@@ -636,15 +640,15 @@ class ShardedMatcher:
             finally:
                 with shard.ticker:
                     shard.waiters -= 1
+                    _count_wakeups(shard.probes, wakeups)
         with self._ticker:
             self._probe_waiters += 1
+            self._wc_probes["blocking_probes"] += 1
             tick = self._ticks
         try:
             while True:
                 msg = self.find_message(context, tag, src_uid)
                 if msg is not None:
-                    stats["wakeups"] += wakeups
-                    stats["futile_wakeups"] += max(wakeups - 1, 0)
                     return msg
                 with self._ticker:
                     while self._ticks == tick:
@@ -654,9 +658,27 @@ class ShardedMatcher:
         finally:
             with self._ticker:
                 self._probe_waiters -= 1
+                _count_wakeups(self._wc_probes, wakeups)
 
     # ------------------------------------------------------------------
     # introspection (tests, diagnostics, obs)
+
+    @property
+    def probe_stats(self) -> dict[str, int]:
+        """Blocking-probe wakeup accounting, summed over the shards and
+        the ANY_TAG path.  ``futile_wakeups`` counts wakeups whose
+        rescan found nothing — the thundering-herd tax a shared ticker
+        pays and per-shard tickers mostly eliminate; ``perf/run.py``'s
+        traced run reports it per operation."""
+        total = _probe_key()
+        for shard in self._shards:
+            with shard.ticker:
+                for k, v in shard.probes.items():
+                    total[k] += v
+        with self._ticker:
+            for k, v in self._wc_probes.items():
+                total[k] += v
+        return total
 
     def counters(self) -> dict[str, int]:
         """Aggregated matching counters (shards + wildcard domain)."""

@@ -540,17 +540,6 @@ class ProcDevice(ProtocolDevice):
             out["job"] = self._job_stats
         return out
 
-    def job_copy_stats(self) -> dict:
-        """Copy/move totals across every rank of a cross-process job.
-
-        Available on rank 0 after ``finish()``; elsewhere (and for
-        in-process jobs, where callers can sum per-device stats
-        directly) falls back to this rank's own snapshot.
-        """
-        if self._job_stats is not None:
-            return dict(self._job_stats["copy_stats"])
-        return self.copy_stats.snapshot()
-
 
 def collect_job_stats(stats_dir: str, nprocs: int, timeout: float = 2.0) -> dict:
     """Merge per-rank snapshot files from a job's stats directory.

@@ -1163,7 +1163,7 @@ class ProtocolEngine:
             "wildcard_recvs": self._matcher.wildcard_depth(),
             "completed_backlog": self._completions.depths(),
             "completions": self._completions.totals(),
-            "probe_stats": dict(self._matcher.probe_stats),
+            "probe_stats": self._matcher.probe_stats,
         }
 
     def bind_endpoint(self, endpoint: int) -> int:

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, JSON report, baseline round-trip, --diff."""
+"""CLI behaviour: exit codes, JSON report, --diff."""
 
 import json
 import shutil
@@ -15,8 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture
 def bad_tree(tmp_path, monkeypatch):
-    """A scratch dir holding one violating fixture; cwd moved there so
-    the repo's own baseline never leaks into the run."""
+    """A scratch dir holding one violating fixture, with cwd moved there."""
     shutil.copy(FIXTURES / "poller_bad.py", tmp_path / "poller_bad.py")
     monkeypatch.chdir(tmp_path)
     return tmp_path
@@ -38,11 +37,6 @@ class TestExitCodes:
         assert main(["--diff", "no-such-ref-xyzzy", str(bad_tree)]) == 2
         assert "does not resolve" in capsys.readouterr().err
 
-    def test_malformed_baseline_exits_two(self, bad_tree, capsys):
-        bl = bad_tree / "broken.json"
-        bl.write_text("{\"version\": 99}", encoding="utf-8")
-        assert main(["--baseline", str(bl), str(bad_tree)]) == 2
-
 
 class TestJsonReport:
     def test_json_shape_and_out_file(self, bad_tree, capsys):
@@ -51,46 +45,11 @@ class TestJsonReport:
         assert rc == 1
         report = json.loads(capsys.readouterr().out)
         assert report == json.loads(out_file.read_text(encoding="utf-8"))
+        assert set(report) == {"version", "paths", "diff_ref", "findings"}
         assert report["version"] == 1
         assert report["findings"], "violating fixture must yield findings"
         f = report["findings"][0]
         assert set(f) >= {"checker", "path", "line", "symbol", "message", "severity"}
-
-
-class TestBaseline:
-    def test_write_then_apply_round_trip(self, bad_tree, capsys):
-        bl = bad_tree / "baseline.json"
-        assert main(["--write-baseline", "--baseline", str(bl), str(bad_tree)]) == 0
-        capsys.readouterr()
-        # The same findings are now baselined: exit 0, counted as such.
-        assert main(["--baseline", str(bl), str(bad_tree)]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-        assert "0 baselined" not in out
-
-    def test_stale_entries_warn(self, tmp_path, monkeypatch, capsys):
-        shutil.copy(FIXTURES / "poller_clean.py", tmp_path / "poller_clean.py")
-        monkeypatch.chdir(tmp_path)
-        bl = tmp_path / "baseline.json"
-        bl.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "suppressions": [
-                        {
-                            "checker": "no-block-in-poller",
-                            "path": "gone.py",
-                            "symbol": "X.y",
-                            "message": "whatever",
-                            "reason": "obsolete",
-                        }
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
-        assert main(["--baseline", str(bl), str(tmp_path)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
 
 
 class TestDiff:
@@ -141,13 +100,3 @@ class TestSelfCheck:
         rc = main([str(REPO_ROOT / "src" / "repro")])
         out = capsys.readouterr().out
         assert rc == 0, f"reprolint found live violations:\n{out}"
-
-    def test_committed_baseline_is_empty(self):
-        data = json.loads(
-            (REPO_ROOT / "reprolint-baseline.json").read_text(encoding="utf-8")
-        )
-        assert data["version"] == 1
-        assert data["suppressions"] == [], (
-            "the tree is expected to be clean without baseline entries; "
-            "justify any new entry in its 'reason' field"
-        )

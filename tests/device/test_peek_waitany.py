@@ -2,13 +2,16 @@
 
 import gc
 import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import mpi
 from repro.buffer import Buffer
+from repro.mpjdev.request import CompletedRequest
 from repro.mpjdev.waitany import WaitAny, WaitAnyQueue, waitany
 from repro.runtime.launcher import run_spmd
 from repro.testing import wait_until
@@ -94,6 +97,34 @@ class TestWaitAny:
         req.wait(timeout=10)
         idx, _ = waitany(devs[1], [req], timeout=5)
         assert idx == 0
+
+    def test_concurrent_first_calls_share_one_queue(self, monkeypatch):
+        """The device's first Waitany calls race to create its queue.
+        A second queue would mean a second front peeker, which can
+        consume the other's completion and leave it waiting forever."""
+        made = []
+        real_init = WaitAnyQueue.__init__
+
+        def slow_init(queue, device):
+            made.append(queue)
+            time.sleep(0.02)  # widen any check-then-set window
+            real_init(queue, device)
+
+        monkeypatch.setattr(WaitAnyQueue, "__init__", slow_init)
+        device = SimpleNamespace()
+        start = threading.Barrier(4)
+
+        def caller():
+            start.wait()
+            waitany(device, [CompletedRequest()], timeout=5)
+
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert len(made) == 1
+        assert device._waitany_queue is made[0]
 
     def test_empty_list_rejected(self, job2):
         devs, _ = job2

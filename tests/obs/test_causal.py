@@ -9,7 +9,7 @@ Covers the acceptance criteria of the causal-tracing work:
 * Lamport clock assignments (and the critical-path *structure*) are
   deterministic under the seeded scheduler — same seed, same values —
   across REPRO_ENDPOINTS=1 and 4;
-* flow ids survive chaosdev's duplicate and truncated-frame injection;
+* flow ids survive ChaosTransport's duplicate and truncated-frame injection;
 * a recv whose send event was evicted by the sender's trace ring is
   reported as *dropped*, not *unmatched*.
 """
@@ -387,36 +387,9 @@ class TestRegressCli:
         assert doc["version"] == 1
         assert doc["flows"]["pair_ratio"] == 1.0
         assert doc["critical_path"]["steps"] >= 1
-        capsys.readouterr()
-
-        # Identical snapshots: clean diff, exit 0.
-        rc = obs_main(["report", "--regress", str(base), str(base)])
-        assert rc == 0
-        assert "no latency regressions" in capsys.readouterr().out
-
-        # Inflate every span latency 3x: flagged, but exit 0 unless
-        # --fail-on-regress asks for gating.
-        worse = json.loads(base.read_text())
-        for cell in worse["spans"].values():
-            cell["mean_us"] = cell["mean_us"] * 3 + 100
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse), encoding="utf-8")
-        rc = obs_main(["report", "--regress", str(base), str(worse_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "REGRESSION" in out
-        rc = obs_main(
-            ["report", "--regress", str(base), str(worse_path),
-             "--fail-on-regress"]
-        )
-        assert rc == 1
-        capsys.readouterr()
-
-    def test_regress_rejects_bad_snapshot(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        rc = obs_main(["report", "--regress", str(bad), str(bad)])
-        assert rc == 2
+        assert set(doc) == {"version", "spans", "stages", "flows", "critical_path"}
+        assert doc["spans"]["send/eager"]["count"] == 1
+        assert "wrote metric snapshot" in capsys.readouterr().out
 
     def test_report_requires_dir_or_regress(self, capsys):
         rc = obs_main(["report"])

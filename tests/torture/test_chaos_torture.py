@@ -1,6 +1,6 @@
 """The chaos torture suite: protocol correctness under injected faults.
 
-Every test here runs real traffic through chaosdev's seeded fault plan
+Every test here runs real traffic through ChaosTransport's seeded fault plan
 (delays, safe reordering, duplicated control frames) and asserts the
 paper's correctness claims still hold: contents exact, per-stream FIFO
 preserved, blocked threads harmless, waitany wakeups correct.  A
@@ -15,9 +15,12 @@ import pytest
 from repro.buffer import Buffer
 from repro.mpjdev.request import RequestFailedError
 from repro.mpjdev.waitany import waitany
-from repro.testing import ChaosConfig, wait_until
+from repro.testing import ChaosConfig, ChaosTransport, wait_until
 from repro.testing.fixtures import make_chaos_job
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
+from repro.xdev.frames import FrameType, encode_frame
+from repro.xdev.processid import ProcessID
+from repro.xdev.protocol import Transport
 
 
 def send_buffer(values):
@@ -29,6 +32,74 @@ def send_buffer(values):
 
 def read_one(buf):
     return int(buf.read_section()[0])
+
+
+class GatedRecorder(Transport):
+    """Inner transport recording each frame's one payload byte; the
+    write of frame 0 blocks until ``gate`` opens, so the release of a
+    held frame 0 stays in flight for as long as the test needs."""
+
+    def __init__(self) -> None:
+        self.delivered: list[int] = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def start(self, engine) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def write(self, dest, segments, route=0, on_delivered=None) -> None:
+        (value,) = bytes(segments[1])
+        if value == 0:
+            self.entered.set()
+            assert self.gate.wait(10)
+        self.delivered.append(value)
+        if on_delivered is not None:
+            on_delivered()
+
+
+class TestReleaseOrdering:
+    """A frame never overtakes a held frame of its own (context, tag)
+    stream, not even while that frame's release is in flight."""
+
+    #: With reorder_prob=0.5, seed 1 holds the stream's first frame
+    #: and not its second (asserted below from the schedule).
+    SEED = 1
+
+    @pytest.mark.parametrize("releaser", ["flush-timer", "swap"])
+    def test_same_stream_frame_waits_for_the_release(self, releaser):
+        rec = GatedRecorder()
+        chaos = ChaosTransport(
+            rec,
+            ChaosConfig(
+                seed=self.SEED,
+                reorder_prob=0.5,
+                hold_flush_s=0.001 if releaser == "flush-timer" else 10.0,
+            ),
+        )
+        dest = ProcessID()
+
+        def frame(value, tag=5):
+            return encode_frame(FrameType.EAGER, tag=tag, payload=bytes([value]))
+
+        chaos.write(dest, frame(0))
+        assert [e.action for e in chaos.events()] == ["hold"]
+        if releaser == "swap":
+            # A frame of another stream releases the held one after
+            # its own write; the release blocks in the recorder.
+            threading.Thread(
+                target=chaos.write, args=(dest, frame(7, tag=6)), daemon=True
+            ).start()
+        assert rec.entered.wait(10)
+        chaos.write(dest, frame(1))
+        rec.gate.set()
+        frames = 3 if releaser == "swap" else 2
+        wait_until(lambda: len(rec.delivered) == frames)
+        assert [v for v in rec.delivered if v != 7] == [0, 1]
+        assert all(e.action != "hold" or e.occurrence == 1 for e in chaos.events())
+        chaos.close()
 
 
 class TestDeterministicSchedule:
@@ -52,7 +123,7 @@ class TestDeterministicSchedule:
                 devices[1].recv(rbuf, pids[0], i % 4, 0)
                 assert read_one(rbuf) == i
                 sreq.wait(timeout=20)
-            return [d.schedule() for d in devices]
+            return [d.engine.transport.schedule() for d in devices]
         finally:
             for d in devices:
                 d.finish()
@@ -77,7 +148,7 @@ class TestDeterministicSchedule:
                 rbuf = Buffer()
                 devices[1].recv(rbuf, pids[0], i % 4, 0)
                 sreq.wait(timeout=20)
-            b = [d.schedule() for d in devices]
+            b = [d.engine.transport.schedule() for d in devices]
         finally:
             for d in devices:
                 d.finish()

@@ -51,7 +51,7 @@ def shard_spread_tags(nstreams: int, endpoints: int) -> list[int]:
 
 
 class TestEndpointStormUnderChaos:
-    """Multi-thread storms through chaosdev with sharding on."""
+    """Multi-thread storms through ChaosTransport with sharding on."""
 
     @pytest.mark.parametrize("endpoints", [1, 4])
     def test_concurrent_streams_exact_and_fifo(self, chaos_seed, endpoints):

@@ -1,6 +1,6 @@
 """Torture tests driven by the seeded interleaving scheduler.
 
-Where chaosdev perturbs frames on the *sender* side, ScheduledInbox
+Where ChaosTransport perturbs frames on the *sender* side, ScheduledInbox
 permutes delivery order on the *receiver* side: every ``get()`` picks
 among the eligible stream heads with a seeded PRNG, so one test run
 exercises an interleaving of the scheduler's choosing — replayable

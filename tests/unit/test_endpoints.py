@@ -190,8 +190,16 @@ class TestPerShardProbeTickers:
         assert m.arrive(msg(tag=tag)) is None  # stored, prober not a recv
         t.join(10)
         assert out["msg"].tag == tag
-        assert m.probe_stats["blocking_probes"] == 1
-        assert m.probe_stats["futile_wakeups"] == 0
+        first = m.probe_stats
+        assert first["blocking_probes"] == 1
+        assert first["futile_wakeups"] == 0
+        # A probe on a second shard and an ANY_TAG probe, both met by
+        # stored messages, count once each into the same sum.
+        other = tag_on_shard(3, 4)
+        m.arrive(msg(tag=other))
+        assert m.wait_message(0, other, ANY_SOURCE).tag == other
+        assert m.wait_message(0, ANY_TAG, ANY_SOURCE) is not None
+        assert m.probe_stats == dict(first, blocking_probes=3)
 
     def test_other_shard_stores_do_not_wake_prober(self):
         """Traffic on other shards must not produce futile wakeups for
