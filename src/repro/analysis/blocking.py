@@ -30,7 +30,7 @@ import ast
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, dotted_text
 from repro.analysis.core import Finding, Project
-from repro.analysis.locks import classify_lock, iter_calls, _local_lock_bindings
+from repro.analysis.locks import classify_lock, iter_calls, _local_lock_bindings, lock_classes
 
 CHECKER = "no-block-in-poller"
 
@@ -106,11 +106,11 @@ def _resolve_target(cg: CallGraph, fn: FunctionInfo, target: ast.AST) -> list[st
 
 
 def direct_blocking_sites(
-    cg: CallGraph, fn: FunctionInfo
+    cg: CallGraph, fn: FunctionInfo, classes: dict[str, str]
 ) -> list[tuple[int, str]]:
     """(line, description) of every blocking primitive *fn* calls itself."""
     out: list[tuple[int, str]] = []
-    bindings = _local_lock_bindings(fn.node, fn.module)
+    bindings = _local_lock_bindings(fn.node, classes)
     resolved_lines: dict[int, set[str]] = {}
     for site in fn.calls:
         resolved_lines.setdefault(site.line, set()).update(site.callees)
@@ -150,7 +150,7 @@ def direct_blocking_sites(
             if any(h in lowered for h in ("queue", "inbox", "box", "_q")):
                 out.append((node.lineno, "blocking queue get"))
         elif method == "acquire" and not _has_timeout(node):
-            if classify_lock(node.func.value, fn.module, bindings) is None:
+            if classify_lock(node.func.value, classes, bindings) is None:
                 out.append((node.lineno, "untimed acquire on unclassified lock"))
     return out
 
@@ -190,12 +190,13 @@ def check(project: Project, cg: CallGraph) -> list[Finding]:
     roots = [q for q, _, _, _ in entries]
     reachable = cg.callees_closure(roots, blocked_edges=blocked)
     findings: list[Finding] = []
+    classes = {sf.rel: lock_classes(sf.tree) for sf in project.files}
     roles = {}
     for q, role, _, _ in entries:
         roles.setdefault(q, role)
     for q in sorted(reachable):
         fn = cg.functions[q]
-        sites = direct_blocking_sites(cg, fn)
+        sites = direct_blocking_sites(cg, fn, classes[fn.sf.rel])
         if not sites:
             continue
         path = cg.shortest_path(roots, q, blocked_edges=blocked)

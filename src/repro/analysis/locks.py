@@ -11,8 +11,10 @@ runtime watchdog's lock graph uses — and checks two things:
   violation if anything that function (transitively) acquires would
   break the same rule.
 
-Unclassifiable context managers (files, tracers, chaos scopes) are
-ignored; unknown lock-ish attribute names fall back to ``internal``.
+A module's ``attr = new_lock(CLASS, ...)`` assignments classify its
+``attr`` sites.  Unclassifiable context managers (files, tracers, chaos
+scopes) are ignored; other lock-ish attribute names fall back to
+``internal``.
 """
 
 from __future__ import annotations
@@ -44,59 +46,48 @@ def iter_calls(node: ast.AST):
             yield n
         stack.extend(ast.iter_child_nodes(n))
 
-#: attribute name -> lock class, anywhere in the tree
-_ATTR_CLASS = {
-    "_wc_lock": locknames.RECV_WILDCARD,
-    "_send_lock": locknames.SEND_SETS,
-    "_rndz_lock": locknames.RENDEZVOUS_IDS,
-    "_cache_lock": locknames.CONN_CACHE,
-    "write_lock": locknames.CHANNEL,
-    "_out_locks": locknames.PROC_OUT,
-    "ticker": locknames.TICKER,
-    "_ticker": locknames.TICKER,
-}
+def factory_class(value: ast.AST) -> Optional[str]:
+    """Lock class made by ``new_lock(CLASS, ...)``/``new_condition(...)``,
+    or by a list comprehension of them; None for any other expression."""
+    if isinstance(value, ast.ListComp):
+        value = value.elt
+    if not (isinstance(value, ast.Call) and value.args):
+        return None
+    if (dotted_text(value.func) or "").rsplit(".", 1)[-1] not in ("new_lock", "new_condition"):
+        return None
+    name = (dotted_text(value.args[0]) or "").rsplit(".", 1)[-1]
+    cls = getattr(locknames, name, None)
+    return cls if isinstance(cls, str) and cls in locknames.HIERARCHY else None
 
-#: (module, attribute name) -> lock class, where the bare name is
-#: ambiguous across modules
-_MODULE_ATTR_CLASS = {
-    ("repro.xdev.completion", "_locks"): locknames.COMPLETED,
-    ("repro.xdev.matching", "lock"): locknames.RECV_SHARD,
-}
 
-#: method calls whose *result* is a lock of a known class
-_FACTORY_CLASS = {
-    "channel_lock": locknames.CHANNEL,
-}
+def lock_classes(tree: ast.Module) -> dict[str, str]:
+    """Attribute name -> lock class of every ``x.attr = new_lock(CLASS,
+    ...)`` in one module.  Per module, because a bare name such as
+    ``lock`` is a matching shard in one module and a leaf elsewhere."""
+    out: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            cls = factory_class(node.value)
+            for target in node.targets if cls else ():
+                if isinstance(target, ast.Attribute):
+                    out[target.attr] = cls
+    return out
 
 
 def classify_lock(
-    node: ast.AST, module: str, bindings: Optional[dict[str, str]] = None
+    node: ast.AST, classes: dict[str, str], bindings: Optional[dict[str, str]] = None
 ) -> Optional[str]:
-    """Lock class of a context/acquire expression, or None if not a lock."""
+    """Lock class of a context/acquire expression, or None if not a lock
+    (*classes* is its module's :func:`lock_classes`)."""
     bindings = bindings or {}
     if isinstance(node, ast.Name):
         return bindings.get(node.id)
     if isinstance(node, ast.Subscript):
-        return classify_lock(node.value, module, bindings)
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _FACTORY_CLASS:
-                return _FACTORY_CLASS[node.func.attr]
-            if node.func.attr == "_all_locked":
-                # handled by callers (expands to two classes)
-                return None
-        return None
+        return classify_lock(node.value, classes, bindings)
     if isinstance(node, ast.Attribute):
         attr = node.attr
-        if (module, attr) in _MODULE_ATTR_CLASS:
-            return _MODULE_ATTR_CLASS[(module, attr)]
-        if attr in _ATTR_CLASS:
-            return _ATTR_CLASS[attr]
-        if attr == "lock":
-            base = dotted_text(node.value) or ""
-            if "shard" in base:
-                return locknames.RECV_SHARD
-            return locknames.INTERNAL
+        if attr in classes:
+            return classes[attr]
         # leaf fallback: any lock-ish private attribute
         if "lock" in attr or attr in ("_cond", "_inner"):
             return locknames.INTERNAL
@@ -104,7 +95,7 @@ def classify_lock(
 
 
 def _classify_with_item(
-    item: ast.withitem, module: str, bindings: dict[str, str]
+    item: ast.withitem, classes: dict[str, str], bindings: dict[str, str]
 ) -> list[str]:
     """Lock classes entered by one ``with`` item (0, 1 or 2 of them)."""
     ctx = item.context_expr
@@ -114,52 +105,50 @@ def _classify_with_item(
         and ctx.func.attr == "_all_locked"
     ):
         return [locknames.RECV_SHARD, locknames.RECV_WILDCARD]
-    c = classify_lock(ctx, module, bindings)
+    c = classify_lock(ctx, classes, bindings)
     return [c] if c is not None else []
 
 
-def _local_lock_bindings(fn_node: ast.AST, module: str) -> dict[str, str]:
-    """``lock = self.channel_lock(...)``-style local names -> class."""
+def _local_lock_bindings(fn_node: ast.AST, classes: dict[str, str]) -> dict[str, str]:
+    """``lock = entry.write_lock``-style local names -> class."""
     out: dict[str, str] = {}
     for node in ast.walk(fn_node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
-                c = None
                 value = node.value
-                if isinstance(value, ast.Call) and isinstance(
-                    value.func, ast.Attribute
-                ):
-                    c = _FACTORY_CLASS.get(value.func.attr)
+                c = factory_class(value)
                 if c is None and isinstance(value, (ast.Attribute, ast.Subscript)):
-                    c = classify_lock(value, module, {})
+                    c = classify_lock(value, classes, {})
                 if c is not None:
                     out.setdefault(target.id, c)
     return out
 
 
-def _direct_acquires(fn, module: str) -> set[str]:
+def _direct_acquires(fn, classes: dict[str, str]) -> set[str]:
     """Every lock class *fn* acquires anywhere in its own body."""
-    bindings = _local_lock_bindings(fn.node, module)
+    bindings = _local_lock_bindings(fn.node, classes)
     out: set[str] = set()
     for node in ast.walk(fn.node):
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
-                out.update(_classify_with_item(item, module, bindings))
+                out.update(_classify_with_item(item, classes, bindings))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "acquire"
         ):
-            c = classify_lock(node.func.value, module, bindings)
+            c = classify_lock(node.func.value, classes, bindings)
             if c is not None:
                 out.add(c)
     return out
 
 
-def _transitive_acquires(cg: CallGraph) -> dict[str, set[str]]:
+def _transitive_acquires(
+    cg: CallGraph, classes: dict[str, dict[str, str]]
+) -> dict[str, set[str]]:
     direct = {
-        q: _direct_acquires(fn, fn.module) for q, fn in cg.functions.items()
+        q: _direct_acquires(fn, classes[fn.sf.rel]) for q, fn in cg.functions.items()
     }
     # fixed point over call edges
     changed = True
@@ -180,20 +169,20 @@ def _transitive_acquires(cg: CallGraph) -> dict[str, set[str]]:
 def _ok(held: str, new: str) -> bool:
     if held == new:
         return new in locknames.SELF_NESTING
-    return locknames.rank_of(held) < locknames.rank_of(new)
+    return locknames.HIERARCHY[held] < locknames.HIERARCHY[new]
 
 
 class _FunctionChecker:
     """Simulates held-lock state over one function body in source order."""
 
-    def __init__(self, cg, fn, trans, findings, symbols) -> None:
+    def __init__(self, cg, fn, trans, findings, symbols, classes) -> None:
         self.cg = cg
         self.fn = fn
         self.trans = trans
         self.findings = findings
         self.symbols = symbols
-        self.module = fn.module
-        self.bindings = _local_lock_bindings(fn.node, fn.module)
+        self.classes = classes
+        self.bindings = _local_lock_bindings(fn.node, classes)
         self.held: list[str] = []
         self.sites_by_node = {id(cs.node): cs for cs in fn.calls}
 
@@ -215,8 +204,8 @@ class _FunctionChecker:
             if not _ok(held, new):
                 self._report(
                     line,
-                    f"acquires '{new}' (rank {locknames.rank_of(new)}) while "
-                    f"holding '{held}' (rank {locknames.rank_of(held)}); the "
+                    f"acquires '{new}' (rank {locknames.HIERARCHY[new]}) while "
+                    f"holding '{held}' (rank {locknames.HIERARCHY[held]}); the "
                     "hierarchy requires strictly ascending ranks "
                     "(see repro.xdev.locknames)",
                 )
@@ -243,7 +232,7 @@ class _FunctionChecker:
         if isinstance(s, (ast.With, ast.AsyncWith)):
             entered: list[str] = []
             for item in s.items:
-                classes = _classify_with_item(item, self.module, self.bindings)
+                classes = _classify_with_item(item, self.classes, self.bindings)
                 if classes:
                     for c in classes:
                         self._push(c, s.lineno)
@@ -302,12 +291,12 @@ class _FunctionChecker:
     def _call(self, node: ast.Call) -> None:
         if isinstance(node.func, ast.Attribute):
             if node.func.attr == "acquire":
-                c = classify_lock(node.func.value, self.module, self.bindings)
+                c = classify_lock(node.func.value, self.classes, self.bindings)
                 if c is not None:
                     self._push(c, node.lineno)
                 return
             if node.func.attr == "release":
-                c = classify_lock(node.func.value, self.module, self.bindings)
+                c = classify_lock(node.func.value, self.classes, self.bindings)
                 if c is not None:
                     self._pop(c)
                 return
@@ -324,20 +313,21 @@ class _FunctionChecker:
                         self._report(
                             node.lineno,
                             f"holds '{held}' (rank "
-                            f"{locknames.rank_of(held)}) across a call to "
+                            f"{locknames.HIERARCHY[held]}) across a call to "
                             f"{callee}, which may acquire '{c}' (rank "
-                            f"{locknames.rank_of(c)}); the hierarchy "
+                            f"{locknames.HIERARCHY[c]}); the hierarchy "
                             "requires strictly ascending ranks",
                         )
 
 
 def check(project: Project, cg: CallGraph) -> list[Finding]:
     findings: list[Finding] = []
-    trans = _transitive_acquires(cg)
+    classes = {sf.rel: lock_classes(sf.tree) for sf in project.files}
+    trans = _transitive_acquires(cg, classes)
     symbols_cache: dict[str, dict[int, str]] = {}
     for fn in cg.functions.values():
         symbols = symbols_cache.get(fn.sf.rel)
         if symbols is None:
             symbols = symbols_cache[fn.sf.rel] = enclosing_symbols(fn.sf.tree)
-        _FunctionChecker(cg, fn, trans, findings, symbols).check()
+        _FunctionChecker(cg, fn, trans, findings, symbols, classes[fn.sf.rel]).check()
     return findings

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.obs import tracing
 from repro.runtime.mpjrun import JobError, JobResult, _extract_result
 from repro.shm.bootstrap import ShmBootstrap, active_segments, new_job_id, sweep
 
@@ -58,10 +59,10 @@ def _worker_env(trace_dir: Optional[Path] = None) -> dict[str, str]:
     parts = env.get("PYTHONPATH", "").split(os.pathsep)
     if pkg_root not in parts:
         env["PYTHONPATH"] = os.pathsep.join([pkg_root] + [p for p in parts if p])
+    if trace_dir is None:
+        trace_dir = tracing.trace_dir()
     if trace_dir is not None:
-        env["REPRO_TRACE"] = str(Path(trace_dir).resolve())
-    elif env.get("REPRO_TRACE", "").strip():
-        env["REPRO_TRACE"] = str(Path(env["REPRO_TRACE"]).resolve())
+        env[tracing.TRACE_ENV] = str(Path(trace_dir).resolve())
     return env
 
 
@@ -74,7 +75,7 @@ def _collect_traces(
     one dir); the worker pids embedded in the file names
     (``…-p<ospid>-…``) pick out exactly this job's output.
     """
-    directory = env.get("REPRO_TRACE", "").strip()
+    directory = env.get(tracing.TRACE_ENV, "").strip()
     if not directory:
         return None, []
     markers = [f"-p{pid}-" for pid in pids]

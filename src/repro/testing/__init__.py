@@ -10,8 +10,8 @@ Three cooperating pieces:
   a transport decorator that replays smdev delivery choices from a
   PRNG seed;
 * :mod:`repro.testing.watchdog` — lock-order cycle detection over the
-  engine's locks plus a stuck-progress watchdog with trace-integrated
-  stall reports.
+  locks :mod:`repro.xdev.locknames` makes, plus a stuck-progress
+  watchdog with trace-integrated stall reports.
 
 Plus :func:`repro.testing.sync.wait_until` for race-free test
 synchronization and pytest fixtures in :mod:`repro.testing.fixtures`.
@@ -35,7 +35,6 @@ from repro.testing.watchdog import (
     LockGraph,
     LockOrderViolation,
     ProgressWatchdog,
-    instrument_engine,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "LockGraph",
     "LockOrderViolation",
     "ProgressWatchdog",
-    "instrument_engine",
 ]

@@ -14,9 +14,8 @@ Fixtures:
 ``chaos_job``
     A 2-rank smdev job whose engines write through a
     :class:`~repro.testing.chaos.ChaosTransport` under the default
-    torture mix,
-    with every engine's locks instrumented into a shared
-    :class:`~repro.testing.watchdog.LockGraph`.
+    torture mix, built inside :func:`~repro.xdev.locknames.recording`
+    of one :class:`~repro.testing.watchdog.LockGraph`.
 
 ``seeded_schedule``
     A :class:`~repro.testing.scheduler.SeededSchedule` plus a factory
@@ -36,8 +35,9 @@ from repro.testing.scheduler import (
     ScheduledTransport,
     SeededSchedule,
 )
-from repro.testing.watchdog import LockGraph, instrument_engine
+from repro.testing.watchdog import LockGraph
 from repro.xdev.device import DeviceConfig, new_instance
+from repro.xdev.locknames import recording
 from repro.xdev.smdev import SMFabric
 
 
@@ -46,7 +46,6 @@ def make_chaos_job(
     seed: int,
     config: Optional[ChaosConfig] = None,
     options: Optional[dict] = None,
-    graph: Optional[LockGraph] = None,
     endpoints: Optional[int] = None,
 ):
     """Stand up *nprocs* smdev ranks on one fabric, each engine writing
@@ -65,8 +64,6 @@ def make_chaos_job(
         opts = dict(options or {})
         dev.init(DeviceConfig(rank=rank, nprocs=nprocs, fabric=fabric, options=opts))
         dev.engine.transport = ChaosTransport(dev.engine.transport, cfg)
-        if graph is not None:
-            instrument_engine(dev.engine, graph)
         devices.append(dev)
     return devices, fabric.pids
 
@@ -171,7 +168,8 @@ class ChaosJob:
 def chaos_job(chaos_seed):
     config = ChaosConfig.torture(chaos_seed)
     graph = LockGraph()
-    devices, pids = make_chaos_job(2, chaos_seed, config=config, graph=graph)
+    with recording(graph):  # smdev makes every lock at init
+        devices, pids = make_chaos_job(2, chaos_seed, config=config)
     yield ChaosJob(devices, pids, chaos_seed, graph, config)
     for d in devices:
         d.finish()

@@ -3,12 +3,12 @@
 Two cooperating tools for the question every hang raises — *what is
 everyone waiting on?*
 
-:class:`LockGraph` + :class:`InstrumentedLock` wrap the engine's locks
-(the receive/send communication-set, rendezvous-id and completion
-locks, paper Section IV-A) so every acquisition is checked against the
-global lock-order graph.  A cycle in that graph is a
-potential deadlock even if this run got lucky; violations are recorded
-with both threads' held-lock stacks.
+:class:`LockGraph` records the locks :mod:`repro.xdev.locknames` makes
+inside ``locknames.recording(graph)`` (all nine lock classes, paper
+Section IV-A) as instrumented locks, so every acquisition is checked
+against the global lock-order graph.  A cycle in that graph is
+a potential deadlock even if this run got lucky; violations are
+recorded with both threads' held-lock stacks.
 
 :class:`ProgressWatchdog` watches a set of engines and fires when
 outstanding work exists but no request has completed within a budget.
@@ -20,11 +20,11 @@ next to the engine-side pending sets.
 Usage::
 
     graph = LockGraph()
-    for dev in devices:
-        instrument_engine(dev.engine, graph)
-    with ProgressWatchdog([d.engine for d in devices], budget_s=2.0) as dog:
-        ...  # run the workload
-    assert not dog.stalls, dog.stalls[0]
+    with locknames.recording(graph):
+        devices = ...  # build the job inside the block
+        with ProgressWatchdog([d.engine for d in devices], budget_s=2.0) as dog:
+            ...  # run the workload
+    assert not graph.violations and not dog.stalls
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.introspect import pending_operations, write_stall_file
-from repro.xdev import locknames
 from repro.xdev.exceptions import XDevException
 
 
@@ -58,7 +57,8 @@ class LockOrderViolation:
 
 
 class LockGraph:
-    """Global acquired-before graph over named locks."""
+    """Global acquired-before graph over named locks (``recv-shard2``:
+    one node for that lock of every rank in the job)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -123,6 +123,10 @@ class LockGraph:
                 del held[i]
                 return
 
+    def lock(self, name: str) -> "InstrumentedLock":
+        """The recorder hook :func:`repro.xdev.locknames.new_lock` calls."""
+        return InstrumentedLock(self, name)
+
     # ------------------------------------------------------------------
 
     def edges(self) -> dict[str, set[str]]:
@@ -146,7 +150,7 @@ class InstrumentedLock:
     """A ``threading.Lock`` that reports to a :class:`LockGraph`.
 
     Implements ``_is_owned`` so it can back a ``threading.Condition``
-    (the engine's receive condition is built on the receive lock).
+    (``locknames.new_condition`` builds its conditions on one).
     """
 
     def __init__(self, graph: LockGraph, name: str) -> None:
@@ -182,38 +186,6 @@ class InstrumentedLock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InstrumentedLock({self.name!r}, locked={self.locked()})"
-
-
-def instrument_engine(engine, graph: LockGraph, label: Optional[str] = None) -> LockGraph:
-    """Swap a ProtocolEngine's locks for instrumented ones.
-
-    Must run before traffic starts.  Covers every lock the engine
-    owns: each matching-shard lock, the wildcard-domain lock (acquired
-    only after its shards — the ordering the LockGraph verifies), the
-    send-set and rendezvous-id locks, and the per-endpoint completion
-    shard locks.  Write serialisation belongs to the transport (see
-    ``Transport.write``) and is not instrumented here.  Returns *graph*
-    for chaining.
-    """
-    # Node names are built from the canonical lock classes in
-    # repro.xdev.locknames — the same vocabulary the static lock-order
-    # checker (repro.analysis.locks) reports in, so a reprolint finding
-    # and a watchdog stall snapshot cross-reference by name.
-    me = label if label is not None else f"rank{engine.my_pid.uid}"
-    matcher = engine._matcher
-    for i, shard in enumerate(matcher._shards):
-        shard.lock = InstrumentedLock(graph, f"{me}:{locknames.RECV_SHARD}{i}")
-    matcher._wc_lock = InstrumentedLock(graph, f"{me}:{locknames.RECV_WILDCARD}")
-    engine._send_lock = InstrumentedLock(graph, f"{me}:{locknames.SEND_SETS}")
-    engine._rndz_lock = InstrumentedLock(
-        graph, f"{me}:{locknames.RENDEZVOUS_IDS}"
-    )
-    completions = engine._completions
-    completions._locks = [
-        InstrumentedLock(graph, f"{me}:{locknames.COMPLETED}{i}")
-        for i in range(completions.n)
-    ]
-    return graph
 
 
 class ProgressWatchdog:

@@ -19,6 +19,7 @@ from collections import deque
 from typing import Optional
 
 from repro.mpjdev.request import Request
+from repro.xdev.locknames import COMPLETED, new_lock
 
 
 class CompletionShards:
@@ -42,7 +43,7 @@ class CompletionShards:
 
     def __init__(self, n: int) -> None:
         self.n = max(1, int(n))
-        self._locks = [threading.Lock() for _ in range(self.n)]
+        self._locks = [new_lock(COMPLETED, i) for i in range(self.n)]
         self._queues: list[deque[tuple[int, Request]]] = [
             deque() for _ in range(self.n)
         ]

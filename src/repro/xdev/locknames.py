@@ -1,17 +1,17 @@
-"""Canonical lock names and the global acquisition hierarchy.
+"""Canonical lock names, the global acquisition hierarchy, the lock factory.
 
-Every lock the protocol stack takes belongs to a named *class*; the
-names here are the single source of truth shared by the two tools that
-reason about them:
+Every lock the protocol stack takes belongs to a named *class*, written
+down once where the lock is made (``new_lock(CLASS, index)`` or
+``new_condition``); the two tools that reason about locks read that call:
 
-* the **dynamic** side — :mod:`repro.testing.watchdog` builds its
-  lock-graph node names from these constants (``rank0:recv-shard2``,
-  ``rank1:send-sets``), so stall snapshots and lock-order violation
-  reports speak this vocabulary;
+* the **dynamic** side — inside :func:`recording` the factory returns
+  the recorder's locks, which :class:`repro.testing.watchdog.LockGraph`
+  names ``recv-shard2``, ``send-sets``..., so stall snapshots and
+  lock-order violation reports speak this vocabulary;
 * the **static** side — the reprolint lock-order checker
-  (:mod:`repro.analysis.locks`) maps ``with``/``acquire()`` sites in
-  the AST to the same classes and checks nesting against
-  :data:`HIERARCHY`.
+  (:mod:`repro.analysis.locks`) gives each ``with``/``acquire()`` site
+  on an attribute the class of its module's ``attr = new_lock(CLASS,
+  ...)`` and checks nesting against :data:`HIERARCHY`.
 
 A static finding and a dynamic stall snapshot that both say
 ``send-sets`` are talking about the same lock.
@@ -52,10 +52,14 @@ Rank order (outermost first):
 9.  ``completed`` — completion-shard locks.
 10. ``internal`` — leaf locks private to one object (CopyStats, pool
     free lists, metric registries, arenas...).  They guard a few
-    statements, never another lock.
+    statements, never another lock, and are never recorded.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 RECV_SHARD = "recv-shard"
 RECV_WILDCARD = "recv-wildcard"
@@ -93,6 +97,33 @@ HIERARCHY: dict[str, int] = {
 SELF_NESTING: frozenset[str] = frozenset({RECV_SHARD, INTERNAL})
 
 
-def rank_of(lock_class: str) -> int:
-    """The hierarchy rank of *lock_class* (KeyError on unknown names)."""
-    return HIERARCHY[lock_class]
+#: The installed recorder: anything with a ``lock(name)`` method.  One
+#: global, not thread-local, because a job's ranks init on threads of
+#: their own and their locks must be recorded too.
+_recorder: Optional[Any] = None
+
+
+def new_lock(lock_class: str, index: Optional[int] = None) -> threading.Lock:
+    """``threading.Lock()``, or the recorder's lock named *lock_class* + *index*."""
+    if _recorder is None:
+        return threading.Lock()
+    return _recorder.lock(lock_class if index is None else f"{lock_class}{index}")
+
+
+def new_condition(lock_class: str, index: Optional[int] = None) -> threading.Condition:
+    """``threading.Condition()``, or one over :func:`new_lock`'s lock."""
+    if _recorder is None:
+        return threading.Condition()
+    return threading.Condition(new_lock(lock_class, index))
+
+
+@contextmanager
+def recording(recorder: Any) -> Iterator[Any]:
+    """Make every classed lock created in the block with *recorder*.
+    Wrap a job's whole life: niodev makes write locks on first send."""
+    global _recorder
+    previous, _recorder = _recorder, recorder
+    try:
+        yield recorder
+    finally:
+        _recorder = previous

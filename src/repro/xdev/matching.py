@@ -34,7 +34,6 @@ and keeps a wildcard domain for ``ANY_TAG`` receives, which span
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from typing import Any, Iterator, Optional
 
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 from repro.xdev.endpoints import route_of
+from repro.xdev.locknames import RECV_SHARD, RECV_WILDCARD, TICKER, new_condition, new_lock
 
 Key = tuple[int, int, int]
 
@@ -308,10 +308,10 @@ class _MatchShard:
 
     __slots__ = ("lock", "mq", "ticker", "ticks", "waiters", "probes")
 
-    def __init__(self, mq: MessageQueues) -> None:
-        self.lock = threading.Lock()
+    def __init__(self, mq: MessageQueues, index: int) -> None:
+        self.lock = new_lock(RECV_SHARD, index)
         self.mq = mq
-        self.ticker = threading.Condition()
+        self.ticker = new_condition(TICKER, index)
         self.ticks = 0
         self.waiters = 0
         #: This shard's blocking-probe accounting, under ``ticker``.
@@ -371,10 +371,10 @@ class ShardedMatcher:
         self.nshards = max(1, int(nshards))
         self._seq = itertools.count(1)
         self._shards = [
-            _MatchShard(MessageQueues(seq=self._seq)) for _ in range(self.nshards)
+            _MatchShard(MessageQueues(seq=self._seq), i) for i in range(self.nshards)
         ]
         # Wildcard domain: receives that span shards, in post order.
-        self._wc_lock = threading.Lock()
+        self._wc_lock = new_lock(RECV_WILDCARD)
         self._wc_recvs: deque[PostedRecv] = deque()
         #: Unclaimed wildcard receives.  Mutated only under the wildcard
         #: lock; read as a cheap skip hint under a shard lock, which is
@@ -387,7 +387,7 @@ class ShardedMatcher:
         # shards and so cannot wait on one shard's ticker.  Bumped only
         # while such a prober is registered (the register-then-scan
         # protocol below), so shard-local traffic never pays for it.
-        self._ticker = threading.Condition()
+        self._ticker = new_condition(TICKER)
         self._ticks = 0
         self._probe_waiters = 0
         #: ANY_TAG blocking-probe accounting, under ``_ticker``.

@@ -52,8 +52,8 @@ Eager/rendezvous protocols come from the shared
 connection (dialing or evicting under the cache lock alone), *then*
 takes the connection's write lock, and unpins after releasing it — so
 nothing dials, evicts, or touches the cache lock while a write lock is
-held (the ``conn-cache`` lock class ranks below ``channel`` — see
-:mod:`repro.xdev.locknames`).
+held (``new_condition(CONN_CACHE)`` ranks below each write lock's
+``new_lock(CHANNEL, uid)`` — see :mod:`repro.xdev.locknames`).
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from repro.xdev.base import ProtocolDevice
 from repro.xdev.device import DeviceConfig, register_device
 from repro.xdev.exceptions import ConnectError, ConnectionSetupError, XDevException
 from repro.xdev.frames import HEADER_SIZE, FrameHeader, FrameType, encode_frame
+from repro.xdev.locknames import CHANNEL, CONN_CACHE, new_condition, new_lock
 from repro.xdev.processid import ProcessID
 from repro.xdev.protocol import ProtocolEngine, Transport
 
@@ -167,7 +168,7 @@ class _CacheEntry:
         self.pins = 0
         self.tick = 0
         self.dead = False
-        self.write_lock = threading.Lock()
+        self.write_lock = new_lock(CHANNEL, uid)
 
 
 class ConnectionCache:
@@ -188,7 +189,7 @@ class ConnectionCache:
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self._cache_lock = threading.Condition()
+        self._cache_lock = new_condition(CONN_CACHE)
         self._entries: dict[int, _CacheEntry] = {}
         self._reads = 0
         self._ticks = itertools.count(1)

@@ -75,6 +75,7 @@ from repro.xdev.base import ProtocolDevice
 from repro.xdev.device import DeviceConfig, register_device
 from repro.xdev.exceptions import ConnectionSetupError, XDevException
 from repro.xdev.frames import HEADER_SIZE, FrameHeader, FrameType
+from repro.xdev.locknames import PROC_OUT, new_lock
 from repro.xdev.processid import ProcessID
 from repro.xdev.protocol import ProtocolEngine, Transport
 
@@ -175,7 +176,7 @@ class ProcTransport(Transport):
         # RELEASE) produce onto them — the lock restores the single-
         # producer invariant the SPSC layout needs.
         self._out = [bootstrap.ring(rank, dest) for dest in range(nprocs)]
-        self._out_locks = [threading.Lock() for _ in range(nprocs)]
+        self._out_locks = [new_lock(PROC_OUT, d) for d in range(nprocs)]
         # Inbound: ring (src -> me) per source, drained only by the
         # poller thread.
         self._in = [bootstrap.ring(src, rank) for src in range(nprocs)]

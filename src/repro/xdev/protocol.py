@@ -8,7 +8,7 @@ offers its pseudocode "as a blueprint for developing other thread-safe
 devices", and this engine is that blueprint made executable.
 
 Locking discipline (paper Section IV-A, endpoint-sharded).  The engine
-owns five lock classes (names as in :mod:`repro.xdev.locknames`):
+owns five lock classes, each made by :func:`~repro.xdev.locknames.new_lock`:
 
 * ``recv-shard`` and ``recv-wildcard`` — the paper's single
   ``receive-communication-sets`` lock, split across the
@@ -82,6 +82,7 @@ from repro.xdev.exceptions import (
 )
 from repro.xdev.causal import LamportClock
 from repro.xdev.frames import FrameHeader, FrameType, encode_frame
+from repro.xdev.locknames import RENDEZVOUS_IDS, SEND_SETS, new_lock
 from repro.xdev.matching import ArrivedMessage, PostedRecv, ShardedMatcher
 from repro.xdev.processid import ProcessID
 
@@ -257,7 +258,7 @@ class ProtocolEngine:
         #: active-RTS set, id-addressed state outside any matching
         #: shard, under its own rendezvous-ids lock.  The flow fields
         #: come from the RTS and stamp the eventual recv.complete.
-        self._rndz_lock = threading.Lock()
+        self._rndz_lock = new_lock(RENDEZVOUS_IDS)
         self._rendezvous_recvs: dict[
             int, tuple[Request, ProcessID, int, int, int, int, int]
         ] = {}
@@ -266,7 +267,7 @@ class ProtocolEngine:
         self._active_rts: set[tuple[int, int]] = set()
 
         # send-communication-sets lock
-        self._send_lock = threading.Lock()
+        self._send_lock = new_lock(SEND_SETS)
         self._pending_sends: dict[int, _PendingSend] = {}
 
         # completed-request shards backing peek(), one per endpoint

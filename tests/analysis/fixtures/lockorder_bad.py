@@ -5,13 +5,13 @@ inverts the documented hierarchy and can deadlock against the send
 path, which nests the other way.
 """
 
-import threading
+from repro.xdev.locknames import RENDEZVOUS_IDS, SEND_SETS, new_lock
 
 
 class Engine:
     def __init__(self) -> None:
-        self._send_lock = threading.Lock()
-        self._rndz_lock = threading.Lock()
+        self._send_lock = new_lock(SEND_SETS)
+        self._rndz_lock = new_lock(RENDEZVOUS_IDS)
 
     def inverted(self) -> None:
         with self._rndz_lock:

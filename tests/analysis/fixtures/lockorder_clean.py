@@ -1,12 +1,12 @@
 """Fixture: same locks, nested in ascending hierarchy order."""
 
-import threading
+from repro.xdev.locknames import RENDEZVOUS_IDS, SEND_SETS, new_lock
 
 
 class Engine:
     def __init__(self) -> None:
-        self._send_lock = threading.Lock()
-        self._rndz_lock = threading.Lock()
+        self._send_lock = new_lock(SEND_SETS)
+        self._rndz_lock = new_lock(RENDEZVOUS_IDS)
 
     def ascending(self) -> None:
         with self._send_lock:

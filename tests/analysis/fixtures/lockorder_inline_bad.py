@@ -8,12 +8,12 @@ The checker sees it transitively: send-sets held across a call that may
 acquire send-sets.
 """
 
-import threading
+from repro.xdev.locknames import SEND_SETS, new_lock
 
 
 class Engine:
     def __init__(self) -> None:
-        self._send_lock = threading.Lock()
+        self._send_lock = new_lock(SEND_SETS)
         self._pending = {}
         self.transport = InlineTransport(self)
 

@@ -4,12 +4,12 @@ The send is parked under the send-sets lock, which is released before
 the write — so the inline ``handle_frame`` takes it afresh.
 """
 
-import threading
+from repro.xdev.locknames import SEND_SETS, new_lock
 
 
 class Engine:
     def __init__(self) -> None:
-        self._send_lock = threading.Lock()
+        self._send_lock = new_lock(SEND_SETS)
         self._pending = {}
         self.transport = InlineTransport(self)
 

@@ -121,7 +121,8 @@ class TestDuplicateControlFrames:
 
         rtr = FrameHeader(FrameType.RTR, 0, 3, send_id=send_id, recv_id=7, payload_len=0)
         engine.handle_frame(self.SRC, rtr, b"")
-        assert sreq.test() is not None  # completed by the first RTR
+        # Completed by the first RTR, on the rendezvous write thread.
+        sreq.wait(timeout=10)
         with pytest.raises(DuplicateControlFrameError, match="unknown send id"):
             engine.handle_frame(self.SRC, rtr, b"")
         assert engine.stats["duplicate_control_frames"] == 1

@@ -52,6 +52,10 @@ class TestPeek:
 
         t = threading.Thread(target=peeker, daemon=True)
         t.start()
+        # Only a blocked peeker makes a completion visible to peek():
+        # send once it is parked, or the completion is not recorded.
+        completions = getattr(devs[1], "engine", devs[1])._completions
+        wait_until(lambda: completions.watched, timeout=10, message="peeker parked")
         # Nothing has completed, so peek must still be blocking — it
         # could only have returned by burning its whole 10 s timeout.
         assert "req" not in out

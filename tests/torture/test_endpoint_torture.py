@@ -25,6 +25,7 @@ from repro.testing.fixtures import make_chaos_job, make_scheduled_job
 from repro.testing.watchdog import LockGraph
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 from repro.xdev.endpoints import route_of
+from repro.xdev.locknames import recording
 
 JOIN_S = 90
 
@@ -60,9 +61,8 @@ class TestEndpointStormUnderChaos:
         the instrumented locks must stay cycle-free."""
         nthreads, per_thread = 4, 25
         graph = LockGraph()
-        devices, pids = make_chaos_job(
-            2, chaos_seed, graph=graph, endpoints=endpoints
-        )
+        with recording(graph):  # smdev makes every lock at init
+            devices, pids = make_chaos_job(2, chaos_seed, endpoints=endpoints)
         tags = shard_spread_tags(nthreads, endpoints)
         got = [[] for _ in range(nthreads)]
         errors = []

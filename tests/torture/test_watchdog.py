@@ -7,28 +7,41 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer
-from repro.obs.tracing import TracingDevice
 from repro.testing import (
     InstrumentedLock,
     LockGraph,
     ProgressWatchdog,
-    instrument_engine,
     wait_until,
 )
-from repro.xdev.device import DeviceConfig, new_instance
-from repro.xdev.smdev import SMFabric
+from repro.xdev import locknames
+from tests.conftest import make_job
+
+ENGINE_CLASSES = {
+    locknames.RECV_SHARD,
+    locknames.RECV_WILDCARD,
+    locknames.SEND_SETS,
+    locknames.RENDEZVOUS_IDS,
+    locknames.TICKER,
+    locknames.COMPLETED,
+}
+#: Every classed lock each device's stack makes, by lock class.
+CLASSES_BY_DEVICE = {
+    "smdev": ENGINE_CLASSES,
+    "niodev": ENGINE_CLASSES | {locknames.CHANNEL, locknames.CONN_CACHE},
+    "procdev": ENGINE_CLASSES | {locknames.PROC_OUT},
+}
 
 
-def make_smdev_job(nprocs, instrument=None):
-    fabric = SMFabric(nprocs)
-    devices = []
-    for rank in range(nprocs):
-        dev = new_instance("smdev")
-        dev.init(DeviceConfig(rank=rank, nprocs=nprocs, fabric=fabric))
-        if instrument is not None:
-            instrument_engine(dev.engine, instrument)
-        devices.append(dev)
-    return devices, fabric.pids
+class NamingGraph(LockGraph):
+    """A LockGraph that remembers the name of every lock it makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: set[str] = set()
+
+    def lock(self, name):
+        self.names.add(name)
+        return super().lock(name)
 
 
 def send_buffer(value):
@@ -109,27 +122,37 @@ class TestLockGraph:
         assert hits == ["signal", "woken"]
 
     def test_instrumented_engine_traffic_is_violation_free(self):
-        graph = LockGraph()
-        devices, pids = make_smdev_job(2, instrument=graph)
-        try:
-            for i in range(10):
-                # Mix eager and rendezvous to touch every lock.
-                if i % 2:
-                    sreq = devices[0].issend(send_buffer(i), pids[1], 1, 0)
-                else:
-                    sreq = devices[0].isend(send_buffer(i), pids[1], 1, 0)
-                rbuf = Buffer()
-                devices[1].recv(rbuf, pids[0], 1, 0)
-                sreq.wait(timeout=10)
-            assert not graph.violations, graph.violations
-        finally:
-            for d in devices:
-                d.finish()
+        """Every classed lock a device's stack takes comes from the
+        locknames factory, and eager plus rendezvous traffic takes them
+        in hierarchy order.  One job per device, in turn: a recorder is
+        process-wide, so the jobs must not overlap."""
+        for device, expected in CLASSES_BY_DEVICE.items():
+            graph = NamingGraph()
+            # The whole job's life: niodev makes a write lock per
+            # connection on its first send.
+            with locknames.recording(graph):
+                devices, pids = make_job(device, 2)
+                try:
+                    for i in range(10):
+                        # Mix eager and rendezvous to touch every lock.
+                        if i % 2:
+                            sreq = devices[0].issend(send_buffer(i), pids[1], 1, 0)
+                        else:
+                            sreq = devices[0].isend(send_buffer(i), pids[1], 1, 0)
+                        rbuf = Buffer()
+                        devices[1].recv(rbuf, pids[0], 1, 0)
+                        sreq.wait(timeout=10)
+                finally:
+                    for d in devices:
+                        d.finish()
+            classes = {name.rstrip("0123456789") for name in graph.names}
+            assert classes == expected, device
+            assert not graph.violations, (device, graph.violations)
 
 
 class TestProgressWatchdog:
     def test_no_stall_on_idle_engines(self):
-        devices, pids = make_smdev_job(2)
+        devices, pids = make_job("smdev", 2)
         try:
             with ProgressWatchdog(
                 [d.engine for d in devices], budget_s=0.2, poll_s=0.02
@@ -141,7 +164,7 @@ class TestProgressWatchdog:
                 d.finish()
 
     def test_unmatched_recv_trips_the_watchdog(self):
-        devices, pids = make_smdev_job(2)
+        devices, pids = make_job("smdev", 2)
         try:
             rbuf = Buffer()
             req = devices[1].irecv(rbuf, pids[0], 999, 0)
@@ -167,15 +190,8 @@ class TestProgressWatchdog:
 
     def test_report_integrates_trace_and_lock_graph(self):
         graph = LockGraph()
-        fabric = SMFabric(2)
-        devices = []
-        for rank in range(2):
-            dev = new_instance("smdev")
-            traced = TracingDevice(dev)
-            traced.init(DeviceConfig(rank=rank, nprocs=2, fabric=fabric))
-            instrument_engine(traced.engine, graph)
-            devices.append(traced)
-        pids = fabric.pids
+        with locknames.recording(graph):  # smdev makes every lock at init
+            devices, pids = make_job("traced-smdev", 2)
         try:
             rbuf = Buffer()
             req = devices[1].irecv(rbuf, pids[0], 42, 0)
@@ -200,7 +216,7 @@ class TestProgressWatchdog:
                 d.finish()
 
     def test_progressing_traffic_never_trips(self):
-        devices, pids = make_smdev_job(2)
+        devices, pids = make_job("smdev", 2)
         try:
             stalls = []
             with ProgressWatchdog(
