@@ -1,10 +1,10 @@
-"""Alternative collective algorithms, selectable per communicator.
+"""Collective algorithms as schedules, selectable per communicator.
 
 The high level of MPJ Express implements its collectives in pure Java
 over point-to-point; production MPI libraries ship *several* algorithms
 per collective and pick by message size and process count.  This module
 provides the classic alternatives so the choice can be ablated
-(``benchmarks/test_ablation_collectives.py``), tuned offline
+(``tests/unit/test_ablation_collectives.py``), tuned offline
 (``python -m repro.bench tune-coll``) and selected automatically per
 call (:mod:`repro.mpi.tuning`):
 
@@ -27,36 +27,132 @@ Select manually with ``comm.set_collective_algorithm("bcast", "linear")``;
 without an override the decision table in :mod:`repro.mpi.tuning` picks
 by message size and communicator size.
 
-All functions here speak the same internal interface as Intracomm's
-built-ins: rank-addressed ``_coll_send``/``_coll_recv`` on the
-communicator's collective context.  Each algorithm that needs special
-structure (primitive contiguous datatypes, commutative or splittable
-operations, a minimum element count) checks its preconditions up front
-and falls back to the built-in default — the checks only consult
-values that are identical on every rank (count, op flags, communicator
-size, datatype shape), so all ranks take the same path.
+Each algorithm is written once, as a *schedule*: a generator
+``schedule(rank, size, root, shape, select)`` that yields one rank's
+:class:`Step` list per global round.  Every rank yields the same number
+of rounds, and within a round each send meets a receive of the same
+tag and size at its peer.  :func:`execute` runs any schedule live over
+``_coll_irecv``/``_coll_isend``; :func:`repro.netsim.collectives.cost`
+prices the same schedule with a library model's T(m), so the live path,
+the tuner and the model cannot disagree about what an algorithm sends.
+
+A step names *blocks*, never arrays: ``(buffer, lo, n)`` with a
+symbolic buffer — ``in`` (the send operand), ``out`` (the receive
+operand), ``acc``/``tmp`` (private arrays) — and a range of base
+elements (list items for OBJECT).  :class:`Shape` holds the facts a
+schedule may read, all identical on every rank (count, op flags,
+communicator size, datatype shape); each algorithm whose preconditions
+fail on them names its fallback in :func:`resolve` before the first
+step runs, so all ranks take the same path and the metrics label names
+the algorithm that ran.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from repro.mpi.comm import (
     TAG_ALLGATHER,
+    TAG_BARRIER,
     TAG_BCAST,
     TAG_GATHER,
     TAG_REDUCE,
     TAG_SCATTER,
 )
-from repro.mpi.datatype import _BY_DTYPE, Datatype
+from repro.mpi.datatype import _BY_DTYPE, Datatype, _IndexPatternType
 from repro.mpi.exceptions import MPIException
 
 #: Pipeline segment size for the segmented tree algorithms, in bytes.
 #: Chosen above the default eager threshold (128KB) so each segment
 #: still travels the zero-copy rendezvous path.
 SEGMENT_BYTES = 256 * 1024
+
+#: Symbolic buffers a step may name.
+IN, OUT, ACC, TMP = "in", "out", "acc", "tmp"
+
+#: Step kinds.
+SEND, RECV, RECV_REDUCE, COPY = "send", "recv", "recv_reduce", "copy"
+
+#: Receives a round folds concurrently; further ``recv_reduce`` steps
+#: wait for a slot and recycle its scratch array.
+FOLD_WINDOW = 4
+
+Block = tuple[str, int, int]
+
+
+class Step(NamedTuple):
+    """One rank's action in one round."""
+
+    kind: str
+    peer: int  # -1 for a local copy
+    block: Block  # sent, received, folded into, or copied to
+    tag: int = 0
+    src: Optional[Block] = None  # copy source
+    fold: bool = False  # copy folds src into block (MPI_Reduce_local)
+
+
+def send(peer: int, block: Block, tag: int) -> Step:
+    return Step(SEND, peer, block, tag)
+
+
+def recv(peer: int, block: Block, tag: int) -> Step:
+    return Step(RECV, peer, block, tag)
+
+
+def recv_reduce(peer: int, block: Block, tag: int) -> Step:
+    """Receive into scratch, then fold the scratch into *block*."""
+    return Step(RECV_REDUCE, peer, block, tag)
+
+
+def copy(src: Block, dst: Block, fold: bool = False) -> Step:
+    return Step(COPY, -1, dst, 0, src, fold)
+
+
+@dataclass(frozen=True)
+class Shape:
+    """The facts a schedule may read.
+
+    *base* is the operand length in base elements — one rank's block
+    for gather, scatter and allgather.  *itemsize* is 0 for a
+    non-primitive (OBJECT) type, whose list items are its base
+    elements.  *counts*/*displs* are per-rank blocks in base elements
+    for the vector variants (a plain Gatherv/Scatterv leaves them to
+    the root, the one rank that reads them).
+    """
+
+    base: int
+    itemsize: int
+    contiguous: bool = True
+    commute: bool = True
+    splits: bool = True
+    counts: Optional[tuple[int, ...]] = None
+    displs: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def of(cls, count: int, datatype: Datatype, op=None) -> "Shape":
+        """The shape of *count* elements of *datatype*, reduced by *op*."""
+        return cls(
+            base=count * datatype.block_count,
+            itemsize=datatype.base_dtype.itemsize if datatype.base_dtype is not None else 0,
+            contiguous=_primitive_contiguous(datatype),
+            commute=op.commute if op is not None else True,
+            splits=getattr(op, "splits", True),
+        )
+
+    @property
+    def splittable(self) -> bool:
+        """Whether vector-splitting algorithms may partition operands."""
+        return self.commute and self.splits and self.contiguous
+
+    def segment(self) -> int:
+        """Base elements per pipeline segment."""
+        return max(1, SEGMENT_BYTES // self.itemsize)
+
+
+Schedule = Iterable[list[Step]]
 
 
 def _primitive_contiguous(datatype: Datatype) -> bool:
@@ -72,521 +168,332 @@ def _base_datatype(datatype: Datatype):
     return _BY_DTYPE[np.dtype(datatype.base_dtype)]
 
 
-def _binomial_tree(relrank: int, size: int) -> tuple[Optional[int], list[int]]:
-    """Parent and children of *relrank* in the binomial tree rooted at 0.
+def _tree(r: int, size: int) -> list[tuple[int, Optional[int]]]:
+    """``(mask, peer)`` per round of the binomial tree rooted at relative
+    rank 0, root end first: in the round of *mask*, *r* links to its
+    child ``r + mask`` or to its parent ``r - mask`` (the lowest set
+    bit of r names the parent), or to nobody.  Children come in
+    descending-subtree-size order.  Reversed, it is the tree leaves
+    first, for data flowing toward the root."""
+    rounds = []
+    levels = (size - 1).bit_length()
+    for k in range(levels):
+        mask = 1 << (levels - 1 - k)
+        low = r & (2 * mask - 1)
+        if low == 0 and r + mask < size:
+            rounds.append((mask, r + mask))
+        elif low == mask:
+            rounds.append((mask, r - mask))
+        else:
+            rounds.append((mask, None))
+    return rounds
 
-    Children come in descending-subtree-size order, matching the send
-    order of ``Intracomm._bcast_binomial``.
-    """
-    parent = None
+
+def _span_end(r: int, size: int) -> int:
+    """End of the relative ranks in *r*'s binomial subtree."""
+    return size if r == 0 else min(r + (r & -r), size)
+
+
+def _then(rounds: list[list[Step]], *steps: Step) -> list[list[Step]]:
+    """Append local *steps* to the last round (their own if none)."""
+    if not rounds:
+        rounds.append([])
+    rounds[-1].extend(steps)
+    return rounds
+
+
+def _sub(collective, nbytes, rank, size, root, shape, select) -> Schedule:
+    """The schedule of a composition's sub-collective, as selected."""
+    name = resolve(collective, select(collective, nbytes), size, shape)
+    return REGISTRY[collective][name](rank, size, root, shape, select)
+
+
+def _renamed(rounds: Schedule, names: dict[str, str]) -> Iterator[list[Step]]:
+    """*rounds* with buffers renamed (a sub-collective's ``out`` becomes
+    the composition's staging ``tmp``, say)."""
+
+    def rename(block):
+        return block if block is None else (names.get(block[0], block[0]),) + block[1:]
+
+    for steps in rounds:
+        yield [st._replace(block=rename(st.block), src=rename(st.src)) for st in steps]
+
+
+# ----------------------------------------------------------------------
+# Barrier
+
+
+def barrier_dissemination(rank, size, root, shape, select):
+    """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte tokens."""
+    token = (TMP, 0, 0)
     mask = 1
     while mask < size:
-        if relrank & mask:
-            parent = relrank - mask
-            break
+        yield [
+            recv((rank - mask) % size, token, TAG_BARRIER),
+            send((rank + mask) % size, token, TAG_BARRIER),
+        ]
         mask <<= 1
-    children = []
-    m = mask >> 1
-    while m > 0:
-        if relrank + m < size:
-            children.append(relrank + m)
-        m >>= 1
-    return parent, children
-
-
-def _op_splits(op) -> bool:
-    """Whether vector-splitting algorithms may partition operands."""
-    return op.commute and getattr(op, "splits", True)
-
-
-def _flat_or_none(buf, offset: int, n: int, datatype: Datatype):
-    """A direct flat base-element view of *buf*, or None.
-
-    None means the operand must be staged through pack/unpack: the
-    datatype is derived with gaps, the buffer is not a C-contiguous
-    ndarray (``reshape(-1)`` would silently copy), the dtype does not
-    match the datatype's base, or the window is out of bounds.
-    """
-    if not _primitive_contiguous(datatype):
-        return None
-    if not isinstance(buf, np.ndarray) or not buf.flags.c_contiguous:
-        return None
-    base_np = np.dtype(datatype.base_dtype)
-    flat = buf.reshape(-1)
-    if flat.dtype != base_np and not (
-        flat.dtype.kind in "iu"
-        and base_np.kind in "iu"
-        and flat.dtype.itemsize == base_np.itemsize
-    ):
-        return None
-    if offset < 0 or offset + n > flat.size:
-        return None
-    return flat
-
-
-def _load_vector(comm, buf, offset: int, count: int, datatype: Datatype, *, load: bool):
-    """Present an operand as flat base elements: ``(arr, base0, staged)``.
-
-    Returns a direct view when the buffer allows it (``staged`` False,
-    ``base0`` = *offset*); otherwise a fresh staging array — packed
-    from the user buffer when *load* — with ``base0`` 0.  Whether a
-    rank stages is a local matter: both presentations send and receive
-    identical wire traffic, so ranks never need to agree on it.
-    """
-    n = count * datatype.block_count
-    flat = _flat_or_none(buf, offset, n, datatype)
-    if flat is not None:
-        return flat, offset, False
-    from repro.mpi.intracomm import _local_copy
-
-    stage = np.empty(n, dtype=datatype.base_dtype)
-    if load and n:
-        _local_copy(
-            buf, offset, count, datatype,
-            stage, 0, n, _base_datatype(datatype), comm._pool,
-        )
-    return stage, 0, True
-
-
-def _store_vector(comm, arr, buf, offset: int, count: int, datatype: Datatype) -> None:
-    """Unpack a staged result back into the user buffer."""
-    from repro.mpi.intracomm import _local_copy
-
-    n = count * datatype.block_count
-    if n:
-        _local_copy(
-            arr, 0, n, _base_datatype(datatype),
-            buf, offset, count, datatype, comm._pool,
-        )
 
 
 # ----------------------------------------------------------------------
 # Bcast variants
 
 
-def bcast_linear(comm, buf: Any, offset: int, count: int, datatype: Datatype, root: int) -> None:
+def bcast_binomial(rank, size, root, shape, select):
+    """Binomial-tree broadcast: ⌈log2 p⌉ rounds."""
+    r = (rank - root) % size
+    whole = (OUT, 0, shape.base)
+    for _mask, peer in _tree(r, size):
+        if peer is None or not shape.base:
+            yield []
+        elif peer > r:
+            yield [send((peer + root) % size, whole, TAG_BCAST)]
+        else:
+            yield [recv((peer + root) % size, whole, TAG_BCAST)]
+
+
+def bcast_linear(rank, size, root, shape, select):
     """Root sends to everyone: p-1 serial messages (the naive tree)."""
-    rank, size = comm.rank(), comm.size()
+    whole = (OUT, 0, shape.base)
     if rank == root:
-        requests = [
-            comm._coll_isend(buf, offset, count, datatype, r, TAG_BCAST)
-            for r in range(size)
-            if r != root
-        ]
-        for req in requests:
-            req.wait()
+        yield [send(r, whole, TAG_BCAST) for r in range(size) if r != root]
     else:
-        comm._coll_recv(buf, offset, count, datatype, root, TAG_BCAST)
+        yield [recv(root, whole, TAG_BCAST)]
 
 
-def bcast_scatter_allgather(
-    comm, buf: Any, offset: int, count: int, datatype: Datatype, root: int
-) -> None:
+def _ring(r, size, blocks, root=0):
+    """Ring allgather of *blocks* (indexed by ring position, relative to
+    *root*): p-1 rounds, each forwarding the block received in the
+    previous one."""
+    left, right = (r - 1 + root) % size, (r + 1 + root) % size
+    for step in range(size - 1):
+        yield [
+            recv(left, blocks[(r - step - 1) % size], TAG_ALLGATHER),
+            send(right, blocks[(r - step) % size], TAG_ALLGATHER),
+        ]
+
+
+def bcast_scatter_allgather(rank, size, root, shape, select):
     """Van de Geijn broadcast: scatter segments, then ring allgather.
 
     Bandwidth-optimal for large messages (each byte crosses each link
-    ~2x instead of log2(p)x).  Requires a primitive-based contiguous
-    datatype; falls back to the binomial tree otherwise or when the
-    message is smaller than one element per rank.
+    ~2x instead of log2(p)x).  Needs a primitive-based datatype and at
+    least one element per rank (see :func:`resolve`).
     """
-    rank, size = comm.rank(), comm.size()
-    base_count = (
-        count * datatype.block_count if datatype.base_dtype is not None else 0
-    )
-    if size == 1 or base_count < size:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
-        return
+    r = (rank - root) % size
+    # Segment s belongs to relative rank s (first ranks take the
+    # remainder); a binomial-scatter holder passes the upper half of its
+    # span of segments to a partner.
+    per, rem = divmod(shape.base, size)
+    lo = [s * per + min(s, rem) for s in range(size + 1)]
 
-    flat, base0, staged = _load_vector(
-        comm, buf, offset, count, datatype, load=(rank == root)
-    )
+    def segments(first: int, last: int) -> Block:
+        return (OUT, lo[first], lo[last] - lo[first])
 
-    # Segment bounds in base elements (first ranks take the remainder).
-    per = base_count // size
-    rem = base_count % size
-    counts = [per + (1 if r < rem else 0) for r in range(size)]
-    displs = [sum(counts[:r]) for r in range(size)]
-
-    base_dt = _base_datatype(datatype)
-
-    # Phase 1: binomial-scatter from root (relative ranks).
-    relrank = (rank - root) % size
-
-    def abs_rank(rel: int) -> int:
-        return (rel + root) % size
-
-    # Each relative rank r is responsible for segment r (by relrank).
-    # Standard binomial scatter: at each step, a holder passes the
-    # upper half of its span to a partner.
-    span = 1
-    while span < size:
-        span *= 2
-    my_span_start, my_span_len = 0, size  # root's initial span
-    if relrank != 0:
-        # Receive my span from the parent.
-        mask = 1
-        while mask < size:
-            if relrank & mask:
-                parent_rel = relrank - mask
-                my_span_start = relrank
-                my_span_len = min(mask, size - relrank)
-                seg_lo = displs[my_span_start]
-                seg_len = sum(counts[my_span_start : my_span_start + my_span_len])
-                comm._coll_recv(
-                    flat, base0 + seg_lo, seg_len, base_dt,
-                    abs_rank(parent_rel), TAG_BCAST,
-                )
-                break
-            mask <<= 1
-        mask >>= 1
-    else:
-        mask = span // 2
-    # Send halves of my span downward.
-    while mask > 0:
-        child_rel = relrank + mask
-        if child_rel < my_span_start + my_span_len and child_rel < size:
-            child_len = min(mask, my_span_start + my_span_len - child_rel)
-            seg_lo = displs[child_rel]
-            seg_len = sum(counts[child_rel : child_rel + child_len])
-            if seg_len:
-                comm._coll_send(
-                    flat, base0 + seg_lo, seg_len, base_dt,
-                    abs_rank(child_rel), TAG_BCAST,
-                )
-            my_span_len = child_rel - my_span_start
-        mask >>= 1
-
-    # Phase 2: ring allgather of the segments (by relative rank).
-    right = abs_rank((relrank + 1) % size)
-    left = abs_rank((relrank - 1) % size)
-    for step in range(size - 1):
-        send_seg = (relrank - step) % size
-        recv_seg = (relrank - step - 1) % size
-        rreq = comm._coll_irecv(
-            flat, base0 + displs[recv_seg], counts[recv_seg], base_dt,
-            left, TAG_ALLGATHER,
-        )
-        sreq = comm._coll_isend(
-            flat, base0 + displs[send_seg], counts[send_seg], base_dt,
-            right, TAG_ALLGATHER,
-        )
-        rreq.wait()
-        sreq.wait()
-
-    if staged and rank != root:
-        _store_vector(comm, flat, buf, offset, count, datatype)
+    end = _span_end(r, size)
+    for mask, peer in _tree(r, size):
+        if peer is None:
+            yield []
+        elif peer > r:
+            block = segments(peer, min(peer + mask, end))
+            yield [send((peer + root) % size, block, TAG_BCAST)]
+        else:
+            yield [recv((peer + root) % size, segments(r, end), TAG_BCAST)]
+    yield from _ring(r, size, [segments(s, s + 1) for s in range(size)], root)
 
 
-def bcast_binomial_pipelined(
-    comm, buf: Any, offset: int, count: int, datatype: Datatype, root: int
-) -> None:
+def bcast_binomial_pipelined(rank, size, root, shape, select):
     """Segmented binomial broadcast: overlap the tree levels.
 
-    The message is cut into :data:`SEGMENT_BYTES` segments; an interior
-    node forwards segment *k* to its children while segment *k+1* is
-    still arriving from its parent, so deep trees stream instead of
-    store-and-forwarding whole messages.  Falls back to the plain
-    binomial tree for non-primitive datatypes or single-segment
-    messages.
+    The message is cut into :data:`SEGMENT_BYTES` segments; a node at
+    depth d receives segment s in round s+d-1 and forwards it to its
+    children in round s+d, while segment s+1 is arriving, so deep trees
+    stream instead of store-and-forwarding whole messages.
     """
-    rank, size = comm.rank(), comm.size()
-    if size == 1 or count == 0:
-        return
-    if datatype.base_dtype is None:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
-        return
-    n = count * datatype.block_count
-    seg = max(1, SEGMENT_BYTES // np.dtype(datatype.base_dtype).itemsize)
-    if n <= seg:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
-        return
-    base_dt = _base_datatype(datatype)
-    flat, base0, staged = _load_vector(
-        comm, buf, offset, count, datatype, load=(rank == root)
-    )
-    segs = [(base0 + a, min(seg, n - a)) for a in range(0, n, seg)]
+    r = (rank - root) % size
+    seg = shape.segment()
+    nseg = -(-shape.base // seg)
 
-    relrank = (rank - root) % size
-    parent_rel, children_rel = _binomial_tree(relrank, size)
-    children = [(c + root) % size for c in children_rel]
+    def piece(s: int) -> Block:
+        return (OUT, s * seg, min(seg, shape.base - s * seg))
 
-    sreqs = []
-    if parent_rel is None:
-        for a, ln in segs:
-            for child in children:
-                sreqs.append(comm._coll_isend(flat, a, ln, base_dt, child, TAG_BCAST))
-    else:
-        parent = (parent_rel + root) % size
-        # Pre-post every segment receive: arrivals match in post order,
-        # and the rendezvous handshakes overlap across segments.
-        rreqs = [
-            comm._coll_irecv(flat, a, ln, base_dt, parent, TAG_BCAST)
-            for a, ln in segs
-        ]
-        for i, (a, ln) in enumerate(segs):
-            rreqs[i].wait()
-            for child in children:
-                sreqs.append(comm._coll_isend(flat, a, ln, base_dt, child, TAG_BCAST))
-    for req in sreqs:
-        req.wait()
-    if staged and rank != root:
-        _store_vector(comm, flat, buf, offset, count, datatype)
+    children = [(c + root) % size for _m, c in _tree(r, size) if c is not None and c > r]
+    depth = bin(r).count("1")
+    for t in range(nseg + size.bit_length() - 2):
+        steps = []
+        if r and 0 <= t - depth + 1 < nseg:
+            parent = (r - (r & -r) + root) % size
+            steps.append(recv(parent, piece(t - depth + 1), TAG_BCAST))
+        if 0 <= t - depth < nseg:
+            steps += [send(c, piece(t - depth), TAG_BCAST) for c in children]
+        yield steps
 
 
 # ----------------------------------------------------------------------
 # Reduce variants
+#
+# The root folds straight into ``out``; other ranks fold into ``acc``
+# and a rank that never folds ships its operand itself (a zero-copy
+# window when the layout allows).
 
 
-def reduce_linear(
-    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
-) -> None:
+def reduce_binomial(rank, size, root, shape, select):
+    """Binomial combine toward the root (commutative ops)."""
+    r = (rank - root) % size
+    n = shape.base
+    acc = OUT if r == 0 else ACC
+    src, rounds = IN, []
+    for _mask, peer in reversed(_tree(r, size)):
+        steps = []
+        if peer is not None and peer > r:
+            if src == IN:
+                steps.append(copy((IN, 0, n), (acc, 0, n)))
+                src = acc
+            steps.append(recv_reduce((peer + root) % size, (acc, 0, n), TAG_REDUCE))
+        elif peer is not None:
+            steps.append(send((peer + root) % size, (src, 0, n), TAG_REDUCE))
+        rounds.append(steps)
+    if r == 0 and src == IN:
+        _then(rounds, copy((IN, 0, n), (OUT, 0, n)))
+    return rounds
+
+
+def reduce_linear(rank, size, root, shape, select):
     """Everyone sends to root; root folds in rank order.
 
     Correct for non-commutative operations; p-1 messages into one node.
-    Root keeps a small window of receives in flight and recycles their
-    staging buffers as each contribution is folded: the rendezvous
-    handshakes overlap each other instead of serializing behind the
-    folds, while memory stays bounded at the window size rather than
-    growing with p.
+    The executor keeps a small window of the root's receives in flight
+    and recycles their scratch as each contribution is folded: the
+    rendezvous handshakes overlap each other instead of serializing
+    behind the folds, while memory stays bounded at the window size
+    rather than growing with p.
     """
-    rank, size = comm.rank(), comm.size()
+    whole = (IN, 0, shape.base)
     if rank != root:
-        # Senders never fold, so they need no private accumulator:
-        # ship a direct view of the user's buffer when the layout
-        # allows (the zero-copy window path aliases it on the wire;
-        # the blocking send completes before the call returns).
-        flat = None
-        if datatype.base_dtype is not None:
-            n = count * datatype.block_count
-            flat = _flat_or_none(sendbuf, sendoffset, n, datatype)
-            # The root folds in the base dtype; a reinterpreting view
-            # (same-width signed/unsigned aliasing) must not reach it.
-            if flat is not None and flat.dtype != np.dtype(datatype.base_dtype):
-                flat = None
-        if flat is not None:
-            comm._coll_send(flat, sendoffset, n, None, root, TAG_REDUCE)
-        else:
-            acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
-            comm._coll_send(acc, 0, acc.size, None, root, TAG_REDUCE)
-        return
-    acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
-    n = acc.size
-    others = [r for r in range(size) if r != rank]
-    window = min(4, len(others))
-    pending: dict[int, tuple[Any, np.ndarray]] = {}
-    for r in others[:window]:
-        tmp = np.empty_like(acc)
-        pending[r] = (comm._coll_irecv(tmp, 0, n, None, r, TAG_REDUCE), tmp)
-    next_post = window
-    result = None
+        return [[send(root, whole, TAG_REDUCE)]]
+    res = (OUT, 0, shape.base)
+    steps = []
     for r in range(size):
         if r == rank:
-            part = acc
+            steps.append(copy(whole, res, fold=bool(steps)))
+        elif steps:
+            steps.append(recv_reduce(r, res, TAG_REDUCE))
         else:
-            req, tmp = pending.pop(r)
-            req.wait()
-            part = tmp
-        if result is None:
-            # acc is already this rank's private copy; a foreign first
-            # part takes ownership of its staging buffer — both ways
-            # the accumulator is private, so folds can land in place.
-            result = part
-            reusable = None
-        else:
-            result = op.reduce_into(result, part)
-            # Recycle the folded-in staging buffer — unless a custom
-            # op returned something aliasing it.
-            reusable = (
-                None
-                if part is acc or np.shares_memory(result, part)
-                else part
-            )
-        if r != rank and next_post < len(others):
-            tmp = reusable if reusable is not None else np.empty_like(acc)
-            nr = others[next_post]
-            pending[nr] = (comm._coll_irecv(tmp, 0, n, None, nr, TAG_REDUCE), tmp)
-            next_post += 1
-    flat = comm._writable_flat(recvbuf)
-    flat[recvoffset : recvoffset + n] = result
+            steps.append(recv(r, res, TAG_REDUCE))
+    return [steps]
 
 
-def reduce_binomial_pipelined(
-    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
-) -> None:
+def reduce_binomial_pipelined(rank, size, root, shape, select):
     """Segmented binomial reduce: fold and forward segment by segment.
 
     Mirrors :func:`bcast_binomial_pipelined` with data flowing toward
-    the root: each interior node folds its children's segment *k* into
-    its accumulator and ships it to its parent while segment *k+1* is
-    still in flight.  Needs a commutative, splittable op and a
-    primitive contiguous datatype; falls back to the default otherwise.
+    the root: a node whose subtree is h levels deep ships segment s to
+    its parent in round s+h, so each interior node folds its children's
+    segment s while segment s+1 is still in flight.  Needs a
+    commutative, splittable op and a primitive contiguous datatype.
     """
-    rank, size = comm.rank(), comm.size()
-    if (
-        size == 1
-        or not _op_splits(op)
-        or not _primitive_contiguous(datatype)
-    ):
-        comm._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
-        )
-        return
-    acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
-    n = acc.size
-    seg = max(1, SEGMENT_BYTES // acc.dtype.itemsize)
-    if n <= seg:
-        comm._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
-        )
-        return
-    segs = [(a, min(seg, n - a)) for a in range(0, n, seg)]
+    r = (rank - root) % size
+    n, seg = shape.base, shape.segment()
+    nseg = -(-n // seg)
 
-    relrank = (rank - root) % size
-    parent_rel, children_rel = _binomial_tree(relrank, size)
-    parent = None if parent_rel is None else (parent_rel + root) % size
-    children = [(c + root) % size for c in children_rel]
+    def height(x: int) -> int:
+        return (_span_end(x, size) - x).bit_length() - 1
 
-    tmps = {c: np.empty_like(acc) for c in children}
-    rreqs = {
-        c: [comm._coll_irecv(tmps[c], a, ln, None, c, TAG_REDUCE) for a, ln in segs]
-        for c in children
-    }
-    sreqs = []
-    for i, (a, ln) in enumerate(segs):
+    children = [c for _m, c in _tree(r, size) if c is not None and c > r]
+    acc = IN if not children else (OUT if r == 0 else ACC)
+    rounds = []
+    for t in range(nseg + height(0) - 1):
+        steps = [copy((IN, 0, n), (acc, 0, n))] if t == 0 and children else []
         for c in children:
-            rreqs[c][i].wait()
-            seg = acc[a : a + ln]
-            out = op.reduce_into(seg, tmps[c][a : a + ln])
-            if out is not seg:
-                seg[:] = out
-        if parent is not None:
-            sreqs.append(comm._coll_isend(acc, a, ln, None, parent, TAG_REDUCE))
-    for req in sreqs:
-        req.wait()
-    if parent is None:
-        flat = comm._writable_flat(recvbuf)
-        flat[recvoffset : recvoffset + n] = acc
+            s = t - height(c)
+            if 0 <= s < nseg:
+                block = (acc, s * seg, min(seg, n - s * seg))
+                steps.append(recv_reduce((c + root) % size, block, TAG_REDUCE))
+        s = t - height(r)
+        if r and 0 <= s < nseg:
+            parent = (r - (r & -r) + root) % size
+            steps.append(send(parent, (acc, s * seg, min(seg, n - s * seg)), TAG_REDUCE))
+        rounds.append(steps)
+    return rounds
 
 
 # ----------------------------------------------------------------------
 # Allreduce variants
 
 
-def allreduce_recursive_doubling(
-    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
-) -> None:
-    """Recursive doubling: log2(p) exchange rounds, everyone finishes
-    together.  Requires a commutative op (falls back otherwise)."""
-    rank, size = comm.rank(), comm.size()
-    if not op.commute:
-        comm.Reduce(sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, 0)
-        comm.Bcast(recvbuf, recvoffset, count, datatype, 0)
-        return
-    acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
-    n = acc.size
-    tmp = np.empty_like(acc)
+def allreduce_reduce_bcast(rank, size, root, shape, select):
+    """Reduce to rank 0, then broadcast; each half runs the algorithm
+    the decision table picks for it."""
+    nbytes = shape.base * shape.itemsize
+    yield from _sub("reduce", nbytes, rank, size, 0, shape, select)
+    yield from _sub("bcast", nbytes, rank, size, 0, shape, select)
 
-    # Fold the non-power-of-two remainder into the lower ranks.
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
+
+def _pof2_rounds(rank, size, shape, body):
+    """Fold the non-power-of-two remainder into the lower ranks, run
+    *body* over the power-of-two virtual ranks, then unfold.
+
+    Everything accumulates in ``out``.  Even rank 2i < 2·rem hands its
+    operand to 2i+1 and gets the result back at the end.
+    *body(vrank, to_rank)* yields the rounds of virtual rank *vrank*
+    (-1 for a folded-away rank).
+    """
+    whole = (OUT, 0, shape.base)
+    pof2 = 1 << (size.bit_length() - 1)
     rem = size - pof2
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            comm._coll_send(acc, 0, n, None, rank + 1, TAG_REDUCE)
-            newrank = -1
+    folded = rank < 2 * rem
+    vrank = (rank // 2 if rank % 2 else -1) if folded else rank - rem
+    yield [copy((IN, 0, shape.base), whole)]
+    if rem:
+        if vrank == -1:
+            yield [send(rank + 1, whole, TAG_REDUCE)]
         else:
-            comm._coll_recv(tmp, 0, n, None, rank - 1, TAG_REDUCE)
-            acc = op.reduce_into(acc, tmp)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
+            yield [recv_reduce(rank - 1, whole, TAG_REDUCE)] if folded else []
+    yield from body(vrank, lambda v: v * 2 + 1 if v < rem else v + rem)
+    if rem:
+        if vrank == -1:
+            yield [recv(rank + 1, whole, TAG_REDUCE)]
+        else:
+            yield [send(rank - 1, whole, TAG_REDUCE)] if folded else []
 
-    if newrank != -1:
+
+def allreduce_recursive_doubling(rank, size, root, shape, select):
+    """Recursive doubling: log2(p) exchange rounds, everyone finishes
+    together.  Requires a commutative op."""
+    whole = (OUT, 0, shape.base)
+    pof2 = 1 << (size.bit_length() - 1)
+
+    def body(vrank, to_rank):
         mask = 1
         while mask < pof2:
-            partner_new = newrank ^ mask
-            partner = (
-                partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            )
-            rreq = comm._coll_irecv(tmp, 0, n, None, partner, TAG_REDUCE)
-            sreq = comm._coll_isend(acc, 0, n, None, partner, TAG_REDUCE)
-            rreq.wait()
-            sreq.wait()
-            acc = op.reduce_into(acc, tmp)
+            if vrank == -1:
+                yield []
+            else:
+                partner = to_rank(vrank ^ mask)
+                yield [recv_reduce(partner, whole, TAG_REDUCE), send(partner, whole, TAG_REDUCE)]
             mask <<= 1
 
-    # Unfold: deliver results back to the folded-away even ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            comm._coll_send(acc, 0, n, None, rank - 1, TAG_REDUCE)
-        else:
-            comm._coll_recv(acc, 0, n, None, rank + 1, TAG_REDUCE)
-
-    flat = comm._writable_flat(recvbuf)
-    flat[recvoffset : recvoffset + n] = acc
+    return _pof2_rounds(rank, size, shape, body)
 
 
-def allreduce_rabenseifner(
-    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
-) -> None:
+def allreduce_rabenseifner(rank, size, root, shape, select):
     """Rabenseifner's allreduce: recursive-halving reduce-scatter, then
     recursive-doubling allgather.
 
     Bandwidth-optimal for large vectors: ~2·(p-1)/p·m bytes per rank
     instead of the 2·log2(p)·m of reduce+bcast trees.  Needs a
     commutative, splittable op and at least one base element per
-    power-of-two rank; falls back to recursive doubling otherwise
-    (which in turn handles the non-commutative case).
+    power-of-two rank.
     """
-    rank, size = comm.rank(), comm.size()
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
-    base_count = (
-        count * datatype.block_count if datatype.base_dtype is not None else 0
-    )
-    if (
-        size == 1
-        or pof2 < 2
-        or not _op_splits(op)
-        or not _primitive_contiguous(datatype)
-        or base_count < pof2
-    ):
-        allreduce_recursive_doubling(
-            comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
-        )
-        return
+    pof2 = 1 << (size.bit_length() - 1)
+    # Block partition of the vector across the pof2 virtual ranks.
+    per, extra = divmod(shape.base, pof2)
+    bounds = [i * per + min(i, extra) for i in range(pof2 + 1)]
 
-    acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
-    n = acc.size
-    tmp = np.empty_like(acc)
+    def blocks(first, last):
+        return (OUT, bounds[first], bounds[last] - bounds[first])
 
-    # Fold the non-power-of-two remainder into the lower ranks (whole
-    # vector, same scheme as recursive doubling).
-    rem = size - pof2
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            comm._coll_send(acc, 0, n, None, rank + 1, TAG_REDUCE)
-            newrank = -1
-        else:
-            comm._coll_recv(tmp, 0, n, None, rank - 1, TAG_REDUCE)
-            acc = op.reduce_into(acc, tmp)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-
-    if newrank != -1:
-
-        def to_rank(vr: int) -> int:
-            return vr * 2 + 1 if vr < rem else vr + rem
-
-        # Block partition of the vector across the pof2 virtual ranks.
-        per, extra = divmod(n, pof2)
-        bounds = [0] * (pof2 + 1)
-        for i in range(pof2):
-            bounds[i + 1] = bounds[i] + per + (1 if i < extra else 0)
-
+    def body(vrank, to_rank):
         # Phase 1: reduce-scatter by recursive vector halving.  Each
         # round exchanges half the current window with the partner and
         # folds the received half; after log2(pof2) rounds virtual rank
@@ -594,347 +501,200 @@ def allreduce_rabenseifner(
         lo, hi = 0, pof2
         mask = pof2 // 2
         while mask:
-            mid = (lo + hi) // 2
-            if newrank & mask:
-                keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
+            if vrank == -1:
+                yield []
             else:
-                keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
-            partner = to_rank(newrank ^ mask)
-            ka, kb = bounds[keep_lo], bounds[keep_hi]
-            sa, sb = bounds[send_lo], bounds[send_hi]
-            rreq = comm._coll_irecv(tmp, ka, kb - ka, None, partner, TAG_REDUCE)
-            sreq = comm._coll_isend(acc, sa, sb - sa, None, partner, TAG_REDUCE)
-            rreq.wait()
-            sreq.wait()
-            seg = acc[ka:kb]
-            out = op.reduce_into(seg, tmp[ka:kb])
-            if out is not seg:
-                seg[:] = out
-            lo, hi = keep_lo, keep_hi
+                mid = (lo + hi) // 2
+                keep, give = ((mid, hi), (lo, mid)) if vrank & mask else ((lo, mid), (mid, hi))
+                partner = to_rank(vrank ^ mask)
+                lo, hi = keep
+                yield [
+                    recv_reduce(partner, blocks(*keep), TAG_REDUCE),
+                    send(partner, blocks(*give), TAG_REDUCE),
+                ]
             mask //= 2
-
         # Phase 2: allgather the blocks by recursive doubling over
         # growing windows (the exact mirror of phase 1).
         mask = 1
         while mask < pof2:
-            partner = to_rank(newrank ^ mask)
-            my_blo = (newrank // mask) * mask
-            pa_blo = my_blo ^ mask
-            ma, mb = bounds[my_blo], bounds[my_blo + mask]
-            pa, pb = bounds[pa_blo], bounds[pa_blo + mask]
-            rreq = comm._coll_irecv(acc, pa, pb - pa, None, partner, TAG_ALLGATHER)
-            sreq = comm._coll_isend(acc, ma, mb - ma, None, partner, TAG_ALLGATHER)
-            rreq.wait()
-            sreq.wait()
+            if vrank == -1:
+                yield []
+            else:
+                partner = to_rank(vrank ^ mask)
+                mine = (vrank // mask) * mask
+                theirs = mine ^ mask
+                yield [
+                    recv(partner, blocks(theirs, theirs + mask), TAG_ALLGATHER),
+                    send(partner, blocks(mine, mine + mask), TAG_ALLGATHER),
+                ]
             mask <<= 1
 
-    # Unfold: deliver results back to the folded-away even ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            comm._coll_send(acc, 0, n, None, rank - 1, TAG_REDUCE)
-        else:
-            comm._coll_recv(acc, 0, n, None, rank + 1, TAG_REDUCE)
-
-    flat = comm._writable_flat(recvbuf)
-    flat[recvoffset : recvoffset + n] = acc
+    return _pof2_rounds(rank, size, shape, body)
 
 
 # ----------------------------------------------------------------------
 # Allgather / Allgatherv variants
 
 
-def allgather_gather_bcast(
-    comm, sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcount, recvtype,
-) -> None:
+def allgather_ring(rank, size, root, shape, select):
+    """Ring allgather: own block into place, then p-1 forwarding rounds."""
+    blk = shape.base
+    yield [copy((IN, 0, blk), (OUT, rank * blk, blk))]
+    yield from _ring(rank, size, [(OUT, b * blk, blk) for b in range(size)])
+
+
+def allgather_gather_bcast(rank, size, root, shape, select):
     """Gather to rank 0, then broadcast the assembled array."""
-    size = comm.size()
-    comm.Gather(sendbuf, sendoffset, sendcount, sendtype,
-                recvbuf, recvoffset, recvcount, recvtype, 0)
-    comm.Bcast(recvbuf, recvoffset, size * recvcount, recvtype, 0)
+    nbytes = shape.base * shape.itemsize * size
+    yield from _sub("gather", nbytes, rank, size, 0, shape, select)
+    whole = replace(shape, base=shape.base * size)
+    yield from _sub("bcast", nbytes, rank, size, 0, whole, select)
 
 
-def allgatherv_ring(
-    comm, sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcounts, displs, recvtype,
-) -> None:
+def allgatherv_ring(rank, size, root, shape, select):
     """Ring allgatherv: pass blocks around, no rank-0 bottleneck.
 
     p-1 steps; every byte crosses each link once, versus the default
     gatherv-to-0 + bcast which funnels the whole result through one
     rank twice.
     """
-    from repro.mpi.intracomm import _local_copy
+    blocks = [(OUT, d, c) for c, d in zip(shape.counts, shape.displs)]
+    yield [copy((IN, 0, shape.counts[rank]), blocks[rank])]
+    yield from _ring(rank, size, blocks)
 
-    rank, size = comm.rank(), comm.size()
-    comm._check_vector_args(recvcounts, displs)
-    _local_copy(
-        sendbuf, sendoffset, sendcount, sendtype,
-        recvbuf, recvoffset + displs[rank] * recvtype.extent,
-        recvcounts[rank], recvtype, comm._pool,
-    )
-    if size == 1:
-        return
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for step in range(size - 1):
-        send_block = (rank - step) % size
-        recv_block = (rank - step - 1) % size
-        rreq = comm._coll_irecv(
-            recvbuf, recvoffset + displs[recv_block] * recvtype.extent,
-            recvcounts[recv_block], recvtype, left, TAG_ALLGATHER,
-        )
-        sreq = comm._coll_isend(
-            recvbuf, recvoffset + displs[send_block] * recvtype.extent,
-            recvcounts[send_block], recvtype, right, TAG_ALLGATHER,
-        )
-        rreq.wait()
-        sreq.wait()
+
+def allgatherv_gather_bcast(rank, size, root, shape, select):
+    """Gatherv to rank 0 + Bcast of the assembled span (*shape.base*)."""
+    yield from gatherv_linear(rank, size, 0, shape, select)
+    nbytes = shape.base * shape.itemsize
+    yield from _sub("bcast", nbytes, rank, size, 0, shape, select)
 
 
 # ----------------------------------------------------------------------
 # Gather / Scatter variants
 
 
-def gather_binomial(
-    comm, sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcount, recvtype, root,
-) -> None:
+def gatherv_linear(rank, size, root, shape, select):
+    """Linear gatherv: every rank sends straight to the root."""
+    if rank != root:
+        n = shape.base if shape.counts is None else shape.counts[rank]
+        return [[send(root, (IN, 0, n), TAG_GATHER)]]
+    return [[
+        copy((IN, 0, c), (OUT, d, c)) if r == root else recv(r, (OUT, d, c), TAG_GATHER)
+        for r, (c, d) in enumerate(zip(shape.counts, shape.displs))
+    ]]
+
+
+def scatterv_linear(rank, size, root, shape, select):
+    """Linear scatterv: the root sends straight to every rank."""
+    if rank != root:
+        n = shape.base if shape.counts is None else shape.counts[rank]
+        return [[recv(root, (OUT, 0, n), TAG_SCATTER)]]
+    return [[
+        copy((IN, d, c), (OUT, 0, c)) if r == root else send(r, (IN, d, c), TAG_SCATTER)
+        for r, (c, d) in enumerate(zip(shape.counts, shape.displs))
+    ]]
+
+
+def _blocks(shape: Shape, size: int) -> Shape:
+    blk = shape.base
+    return replace(shape, counts=(blk,) * size, displs=tuple(r * blk for r in range(size)))
+
+
+def gather_linear(rank, size, root, shape, select):
+    """Linear gather: p-1 messages converging on the root."""
+    return gatherv_linear(rank, size, root, _blocks(shape, size), select)
+
+
+def scatter_linear(rank, size, root, shape, select):
+    """Linear scatter: the root sends p-1 messages."""
+    return scatterv_linear(rank, size, root, _blocks(shape, size), select)
+
+
+def gather_binomial(rank, size, root, shape, select):
     """Binomial-tree gather: log2(p) rounds instead of p-1 messages
     converging on the root.
 
-    Interior nodes accumulate their subtree's blocks in a staging
-    array and forward the whole span at once.  Falls back to the
-    linear gather for non-primitive block types or empty blocks.
+    Interior nodes accumulate their subtree's blocks in ``tmp`` and
+    forward the whole span at once; a leaf ships its block as-is.  The
+    root lands spans straight in ``out`` when relative and absolute
+    order agree (root 0), else in ``tmp``, rotated into place at the end.
     """
-    from repro.mpi.intracomm import _local_copy
-
-    rank, size = comm.rank(), comm.size()
-    own = recvtype if rank == root else sendtype
-    own_count = recvcount if rank == root else sendcount
-    blk = own_count * own.block_count  # base elements per rank block
-    # Rank-consistent gate: blk and the base primitive are fixed by the
-    # (matching) type signatures, unlike each rank's local layout.
-    if size == 1 or blk == 0 or own.base_dtype is None:
-        comm._gather_linear(
-            sendbuf, sendoffset, sendcount, sendtype,
-            recvbuf, recvoffset, recvcount, recvtype, root,
-        )
-        return
-    base_np = np.dtype(own.base_dtype)
-    base_dt = _BY_DTYPE[base_np]
-    relrank = (rank - root) % size
-
-    # Subtree span and tree links (same shape as the binomial scatter).
-    if relrank == 0:
-        limit = size
-        span_len = size
-        parent = None
-    else:
-        mask = 1
-        while not (relrank & mask):
-            mask <<= 1
-        limit = mask
-        span_len = min(mask, size - relrank)
-        parent = ((relrank - mask) + root) % size
-    children = []  # (child_rel, span length in blocks)
-    m = 1
-    while m < limit and relrank + m < size:
-        children.append((relrank + m, min(m, size - relrank - m)))
-        m <<= 1
-
-    if parent is not None and span_len == 1:
-        # Leaf: ship the block as-is; the parent lands it with base_dt.
-        comm._coll_send(sendbuf, sendoffset, sendcount, sendtype, parent, TAG_GATHER)
-        return
-
-    if parent is None:
-        # Root.  Land child spans straight into recvbuf when it can be
-        # viewed as flat base elements in relrank order (root == 0).
-        dst = None
-        if (
-            root == 0
-            and _primitive_contiguous(recvtype)
-            and isinstance(recvbuf, np.ndarray)
-            and recvbuf.flags.c_contiguous
-            and recvbuf.flags.writeable
-        ):
-            flat = recvbuf.reshape(-1)
-            if flat.dtype == base_np or (
-                flat.dtype.kind in "iu"
-                and base_np.kind in "iu"
-                and flat.dtype.itemsize == base_np.itemsize
-            ):
-                dst = flat
-        if dst is not None:
-            rreqs = [
-                comm._coll_irecv(
-                    dst, recvoffset + c * blk, ln * blk, base_dt,
-                    (c + root) % size, TAG_GATHER,
-                )
-                for c, ln in children
-            ]
-            _local_copy(
-                sendbuf, sendoffset, sendcount, sendtype,
-                recvbuf, recvoffset, recvcount, recvtype, comm._pool,
-            )
-            for req in rreqs:
-                req.wait()
+    blk = shape.base
+    r = (rank - root) % size
+    end = _span_end(r, size)
+    span = OUT if r == 0 and root == 0 else TMP
+    rounds = []
+    for mask, peer in reversed(_tree(r, size)):
+        if peer is None:
+            rounds.append([])
+        elif peer > r:
+            block = (span, (peer - r) * blk, (min(peer + mask, end) - peer) * blk)
+            rounds.append([recv((peer + root) % size, block, TAG_GATHER)])
         else:
-            staged = np.empty(size * blk, dtype=base_np)
-            rreqs = [
-                comm._coll_irecv(
-                    staged, c * blk, ln * blk, base_dt,
-                    (c + root) % size, TAG_GATHER,
-                )
-                for c, ln in children
-            ]
-            for req in rreqs:
-                req.wait()
-            for rel in range(1, size):
-                r_abs = (rel + root) % size
-                _local_copy(
-                    staged, rel * blk, blk, base_dt,
-                    recvbuf, recvoffset + r_abs * recvcount * recvtype.extent,
-                    recvcount, recvtype, comm._pool,
-                )
-            _local_copy(
-                sendbuf, sendoffset, sendcount, sendtype,
-                recvbuf, recvoffset + root * recvcount * recvtype.extent,
-                recvcount, recvtype, comm._pool,
-            )
-        return
-
-    # Interior node: stage the subtree span, then forward it upward.
-    staged = np.empty(span_len * blk, dtype=base_np)
-    rreqs = [
-        comm._coll_irecv(
-            staged, (c - relrank) * blk, ln * blk, base_dt,
-            (c + root) % size, TAG_GATHER,
-        )
-        for c, ln in children
-    ]
-    _local_copy(
-        sendbuf, sendoffset, sendcount, sendtype, staged, 0, blk, base_dt, comm._pool
-    )
-    for req in rreqs:
-        req.wait()
-    comm._coll_send(staged, 0, span_len * blk, base_dt, parent, TAG_GATHER)
+            mine = (IN, 0, blk) if end - r == 1 else (TMP, 0, (end - r) * blk)
+            rounds.append([send((peer + root) % size, mine, TAG_GATHER)])
+    if r == 0:
+        _then(rounds, copy((IN, 0, blk), (OUT, root * blk, blk)))
+        if root:
+            _then(rounds, *(
+                copy((TMP, rel * blk, blk), (OUT, (rel + root) % size * blk, blk))
+                for rel in range(1, size)
+            ))
+    elif end - r > 1:
+        rounds[0].append(copy((IN, 0, blk), (TMP, 0, blk)))
+    return rounds
 
 
-def scatter_binomial(
-    comm, sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcount, recvtype, root,
-) -> None:
+def scatter_binomial(rank, size, root, shape, select):
     """Binomial-tree scatter: the mirror image of :func:`gather_binomial`.
 
     The root ships half its blocks to the farthest subtree root, which
     recursively distributes them — log2(p) rounds versus p-1 serial
-    sends.  Falls back to the linear scatter for non-primitive block
-    types or empty blocks.
+    sends.  The root peels spans off ``in`` when relative and absolute
+    order agree (root 0), else it first rotates the blocks into ``tmp``.
     """
-    from repro.mpi.intracomm import _local_copy
-
-    rank, size = comm.rank(), comm.size()
-    own = sendtype if rank == root else recvtype
-    own_count = sendcount if rank == root else recvcount
-    blk = own_count * own.block_count
-    # Rank-consistent gate (see gather_binomial).
-    if size == 1 or blk == 0 or own.base_dtype is None:
-        comm._scatter_linear(
-            sendbuf, sendoffset, sendcount, sendtype,
-            recvbuf, recvoffset, recvcount, recvtype, root,
-        )
-        return
-    base_np = np.dtype(own.base_dtype)
-    base_dt = _BY_DTYPE[base_np]
-    relrank = (rank - root) % size
-
-    if relrank == 0:
-        # Root: view (or stage) the blocks as flat base elements in
-        # relrank order, then peel off subtree spans.
-        src = None
-        base0 = 0
-        if (
-            root == 0
-            and _primitive_contiguous(sendtype)
-            and isinstance(sendbuf, np.ndarray)
-            and sendbuf.flags.c_contiguous
-        ):
-            flat = sendbuf.reshape(-1)
-            if flat.dtype == base_np or (
-                flat.dtype.kind in "iu"
-                and base_np.kind in "iu"
-                and flat.dtype.itemsize == base_np.itemsize
-            ):
-                src = flat
-                base0 = sendoffset
-        if src is None:
-            src = np.empty(size * blk, dtype=base_np)
-            for rel in range(1, size):
-                r_abs = (rel + root) % size
-                _local_copy(
-                    sendbuf, sendoffset + r_abs * sendcount * sendtype.extent,
-                    sendcount, sendtype, src, rel * blk, blk, base_dt, comm._pool,
-                )
-        span = 1
-        while span < size:
-            span *= 2
-        span_len = size
-        sreqs = []
-        mask = span // 2
-        while mask > 0:
-            if mask < span_len:
-                child_len = min(mask, size - mask)
-                sreqs.append(comm._coll_isend(
-                    src, base0 + mask * blk, child_len * blk, base_dt,
-                    (mask + root) % size, TAG_SCATTER,
-                ))
-                span_len = mask
-            mask >>= 1
-        _local_copy(
-            sendbuf, sendoffset + root * sendcount * sendtype.extent,
-            sendcount, sendtype, recvbuf, recvoffset, recvcount, recvtype,
-            comm._pool,
-        )
-        for req in sreqs:
-            req.wait()
-        return
-
-    mask = 1
-    while not (relrank & mask):
-        mask <<= 1
-    parent = ((relrank - mask) + root) % size
-    span_len = min(mask, size - relrank)
-    if span_len == 1:
-        # Leaf: the span is exactly my block; land it as recvtype.
-        comm._coll_recv(recvbuf, recvoffset, recvcount, recvtype, parent, TAG_SCATTER)
-        return
-    staged = np.empty(span_len * blk, dtype=base_np)
-    comm._coll_recv(staged, 0, span_len * blk, base_dt, parent, TAG_SCATTER)
-    sreqs = []
-    m = mask >> 1
-    while m > 0:
-        if m < span_len:
-            child_len = min(m, span_len - m)
-            sreqs.append(comm._coll_isend(
-                staged, m * blk, child_len * blk, base_dt,
-                (relrank + m + root) % size, TAG_SCATTER,
-            ))
-            span_len = m
-        m >>= 1
-    _local_copy(staged, 0, blk, base_dt, recvbuf, recvoffset, recvcount, recvtype, comm._pool)
-    for req in sreqs:
-        req.wait()
+    blk = shape.base
+    r = (rank - root) % size
+    end = _span_end(r, size)
+    span = IN if r == 0 and root == 0 else TMP
+    rounds = []
+    if root:
+        rounds.append([
+            copy((IN, (rel + root) % size * blk, blk), (TMP, rel * blk, blk))
+            for rel in range(1, size)
+        ] if r == 0 else [])
+    for mask, peer in _tree(r, size):
+        if peer is None:
+            rounds.append([])
+        elif peer > r:
+            block = (span, (peer - r) * blk, (min(peer + mask, end) - peer) * blk)
+            rounds.append([send((peer + root) % size, block, TAG_SCATTER)])
+        elif end - r == 1:
+            # Leaf: the span is exactly my block.
+            rounds.append([recv((peer + root) % size, (OUT, 0, blk), TAG_SCATTER)])
+        else:
+            rounds.append([
+                recv((peer + root) % size, (TMP, 0, (end - r) * blk), TAG_SCATTER),
+                copy((TMP, 0, blk), (OUT, 0, blk)),
+            ])
+    if r == 0:
+        _then(rounds, copy((IN, root * blk, blk), (OUT, 0, blk)))
+    return rounds
 
 
 # ----------------------------------------------------------------------
 # Reduce_scatter variants
 
 
-def reduce_scatter_pairwise(
-    comm, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
-) -> None:
+def reduce_scatter_reduce_scatterv(rank, size, root, shape, select):
+    """Reduce to rank 0 into a staging buffer, then Scatterv its blocks."""
+    nbytes = shape.base * shape.itemsize
+    yield from _renamed(_sub("reduce", nbytes, rank, size, 0, shape, select), {OUT: TMP})
+    yield from _renamed(scatterv_linear(rank, size, 0, shape, select), {IN: TMP})
+
+
+def reduce_scatter_pairwise(rank, size, root, shape, select):
     """Pairwise-exchange reduce-scatter.
 
     p-1 rounds; in round *i* each rank sends block ``rank+i`` straight
@@ -942,88 +702,60 @@ def reduce_scatter_pairwise(
     contribution it receives, so only its own block ever crosses the
     wire toward it — no rank-0 funnel and no full-vector temporary.
     Needs a commutative, splittable op and a primitive contiguous
-    datatype; falls back to the default reduce+scatterv otherwise.
+    datatype.
     """
-    rank, size = comm.rank(), comm.size()
-    comm._check_vector_args(recvcounts, None)
-    if size == 1 or not _op_splits(op) or not _primitive_contiguous(datatype):
-        comm._reduce_scatter_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
-        )
-        return
-    blkc = datatype.block_count
-    counts_b = [int(c) * blkc for c in recvcounts]
-    displs_b = [0] * size
+    counts, displs = shape.counts, shape.displs
+    mine = (OUT, 0, counts[rank])
     for i in range(1, size):
-        displs_b[i] = displs_b[i - 1] + counts_b[i - 1]
-
-    flat = np.asarray(sendbuf).reshape(-1)
-    my_n = counts_b[rank]
-    acc = flat[
-        sendoffset + displs_b[rank] : sendoffset + displs_b[rank] + my_n
-    ].copy()
-    tmp = np.empty_like(acc)
-    base_dt = _base_datatype(datatype)
-    for i in range(1, size):
-        dst = (rank + i) % size
-        src = (rank - i) % size
-        rreq = comm._coll_irecv(tmp, 0, my_n, None, src, TAG_REDUCE)
-        sreq = comm._coll_isend(
-            flat, sendoffset + displs_b[dst], counts_b[dst], base_dt,
-            dst, TAG_REDUCE,
-        )
-        rreq.wait()
-        sreq.wait()
-        if my_n:
-            acc = op.reduce_into(acc, tmp)
-    if my_n:
-        out = comm._writable_flat(recvbuf)
-        out[recvoffset : recvoffset + my_n] = acc
+        dst, src = (rank + i) % size, (rank - i) % size
+        steps = [copy((IN, displs[rank], counts[rank]), mine)] if i == 1 else []
+        yield steps + [
+            recv_reduce(src, mine, TAG_REDUCE),
+            send(dst, (IN, displs[dst], counts[dst]), TAG_REDUCE),
+        ]
 
 
-#: Registry: collective name -> {algorithm name -> callable}.
-#: ``None`` marks the built-in default implementation in Intracomm.
-REGISTRY: dict[str, dict[str, Any]] = {
+#: Registry: collective name -> {algorithm name -> schedule}.
+REGISTRY: dict[str, dict[str, Callable[..., Schedule]]] = {
     "bcast": {
-        "binomial": None,  # built-in default
+        "binomial": bcast_binomial,
         "linear": bcast_linear,
         "scatter_allgather": bcast_scatter_allgather,
         "binomial_pipelined": bcast_binomial_pipelined,
     },
     "reduce": {
-        "binomial": None,
+        "binomial": reduce_binomial,
         "linear": reduce_linear,
         "binomial_pipelined": reduce_binomial_pipelined,
     },
     "allreduce": {
-        "reduce_bcast": None,
+        "reduce_bcast": allreduce_reduce_bcast,
         "recursive_doubling": allreduce_recursive_doubling,
         "rabenseifner": allreduce_rabenseifner,
     },
     "allgather": {
-        "ring": None,
+        "ring": allgather_ring,
         "gather_bcast": allgather_gather_bcast,
     },
     "allgatherv": {
-        "gather_bcast": None,
+        "gather_bcast": allgatherv_gather_bcast,
         "ring": allgatherv_ring,
     },
     "gather": {
-        "linear": None,
+        "linear": gather_linear,
         "binomial": gather_binomial,
     },
     "scatter": {
-        "linear": None,
+        "linear": scatter_linear,
         "binomial": scatter_binomial,
     },
     "reduce_scatter": {
-        "reduce_scatterv": None,
+        "reduce_scatterv": reduce_scatter_reduce_scatterv,
         "pairwise": reduce_scatter_pairwise,
     },
 }
 
-#: The built-in default algorithm name per collective (the REGISTRY
-#: entry mapped to None).
+#: The built-in default algorithm name per collective.
 DEFAULTS: dict[str, str] = {
     "bcast": "binomial",
     "reduce": "binomial",
@@ -1034,6 +766,45 @@ DEFAULTS: dict[str, str] = {
     "scatter": "linear",
     "reduce_scatter": "reduce_scatterv",
 }
+
+#: Preconditions: (collective, algorithm) -> the fallback's name when
+#: *shape* rules the algorithm out at *size* ranks, else None.
+_FALLBACKS: dict[tuple[str, str], Callable[[int, Shape], Optional[str]]] = {
+    ("bcast", "scatter_allgather"):
+        lambda p, s: "binomial" if not s.itemsize or s.base < p else None,
+    ("bcast", "binomial_pipelined"):
+        lambda p, s: "binomial" if p == 1 or not s.itemsize or s.base <= s.segment() else None,
+    ("reduce", "binomial"):
+        lambda p, s: None if s.commute else "linear",
+    ("reduce", "binomial_pipelined"):
+        lambda p, s: "binomial" if p == 1 or not s.splittable or s.base <= s.segment() else None,
+    ("allreduce", "recursive_doubling"):
+        lambda p, s: None if s.commute else "reduce_bcast",
+    ("allreduce", "rabenseifner"):
+        lambda p, s: (
+            "recursive_doubling"
+            if p == 1 or not s.splittable or s.base < 1 << (p.bit_length() - 1)
+            else None
+        ),
+    ("gather", "binomial"):
+        lambda p, s: "linear" if p == 1 or not s.base or not s.itemsize else None,
+    ("scatter", "binomial"):
+        lambda p, s: "linear" if p == 1 or not s.base or not s.itemsize else None,
+    ("reduce_scatter", "pairwise"):
+        lambda p, s: "reduce_scatterv" if p == 1 or not s.splittable else None,
+}
+
+
+def resolve(collective: str, algorithm: str, size: int, shape: Shape) -> str:
+    """The algorithm that runs: *algorithm*, or the fallback its
+    preconditions name (transitively).  Reads only rank-identical
+    facts, so every rank resolves alike."""
+    while True:
+        check = _FALLBACKS.get((collective, algorithm))
+        fallback = check(size, shape) if check is not None else None
+        if fallback is None:
+            return algorithm
+        algorithm = fallback
 
 
 def validate(collective: str, algorithm: str) -> None:
@@ -1047,3 +818,166 @@ def validate(collective: str, algorithm: str) -> None:
             f"unknown {collective} algorithm {algorithm!r}; "
             f"known: {sorted(REGISTRY[collective])}"
         )
+
+
+# ----------------------------------------------------------------------
+# The executor
+
+
+def _flat_or_none(buf, offset: int, n: int, datatype: Datatype):
+    """A direct flat base-element view of *buf*, or None.
+
+    None means the operand must be staged through pack/unpack: the
+    datatype is derived with gaps or permutes its elements, the buffer
+    is not a C-contiguous ndarray (``reshape(-1)`` would silently
+    copy), the dtype does not match the datatype's base, or the window
+    is out of bounds.  A same-width signed/unsigned alias is viewed as
+    the base dtype, so folds compute in it.
+    """
+    if not _primitive_contiguous(datatype):
+        return None
+    if isinstance(datatype, _IndexPatternType) and not np.array_equal(
+        datatype.pattern, np.arange(datatype.block_count)
+    ):
+        return None
+    if not isinstance(buf, np.ndarray) or not buf.flags.c_contiguous:
+        return None
+    base_np = np.dtype(datatype.base_dtype)
+    flat = buf.reshape(-1)
+    if flat.dtype != base_np:
+        if not (
+            flat.dtype.kind in "iu"
+            and base_np.kind in "iu"
+            and flat.dtype.itemsize == base_np.itemsize
+        ):
+            return None
+        flat = flat.view(base_np)
+    if offset < 0 or offset + n > flat.size:
+        return None
+    return flat
+
+
+def _local_copy(
+    sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcount, recvtype, pool,
+) -> None:
+    """A local block copy: pack/unpack through a buffer, no device trip.
+
+    Going through the pack/unpack machinery (rather than a numpy slice
+    copy) keeps derived-datatype semantics identical for the local and
+    remote paths.
+    """
+    if sendcount == 0:
+        return
+    staging = pool.acquire(sendtype.packed_size(sendcount) + 64)
+    try:
+        sendtype.pack(staging, sendbuf, sendoffset, sendcount)
+        staging.commit()
+        recvtype.unpack(staging, recvbuf, recvoffset, recvcount)
+    finally:
+        staging.free()
+
+
+def execute(comm, schedule: Schedule, operands: dict, datatype: Datatype, op=None) -> None:
+    """Run one rank's *schedule* live.
+
+    *operands* maps ``in``/``out`` to ``(buf, offset, count,
+    datatype)``; *datatype*'s base type types the private ``acc``/
+    ``tmp`` arrays.  An operand is bound to the user's storage when
+    :func:`_flat_or_none` allows it (the zero-copy sends and receives),
+    to the list itself for OBJECT, and otherwise to one staging array
+    packed from it — stored back at the end if the schedule wrote it.
+    Whether a rank stages is a local matter: both presentations send
+    and receive identical wire traffic.  Each round posts every
+    receive, then every send, waits for all of them, then runs its
+    folds and copies in step order.
+    """
+    rounds = [steps for steps in schedule if steps]
+    extent: dict[str, int] = {}
+    written: set[str] = set()
+    fold_n = 0
+    for steps in rounds:
+        for st in steps:
+            name, lo, n = st.block
+            extent[name] = max(extent.get(name, 0), lo + n)
+            if st.src is not None:
+                extent[st.src[0]] = max(extent.get(st.src[0], 0), st.src[1] + n)
+            if st.kind != SEND:
+                written.add(name)
+            if st.kind == RECV_REDUCE:
+                fold_n = max(fold_n, n)
+    views: dict[str, tuple[Any, int, Datatype]] = {}
+    staged = []
+    for name, size in extent.items():
+        if name not in operands:
+            basic = _base_datatype(datatype)
+            views[name] = (np.empty(size, dtype=basic.base_dtype), 0, basic)
+            continue
+        buf, offset, count, dt = operands[name]
+        if dt.base_dtype is None:
+            views[name] = (buf, offset, dt)
+            continue
+        basic = _base_datatype(dt)
+        n = count * dt.block_count
+        flat = _flat_or_none(buf, offset, n, dt)
+        if flat is not None:
+            views[name] = (flat, offset, basic)
+            continue
+        stage = np.empty(n, dtype=basic.base_dtype)
+        _local_copy(buf, offset, count, dt, stage, 0, n, basic, comm._pool)
+        views[name] = (stage, 0, basic)
+        if name in written:
+            staged.append((stage, n, basic, buf, offset, count, dt))
+
+    def at(block):
+        buf, offset, dt = views[block[0]]
+        return buf, offset + block[1], block[2], dt
+
+    def array(block):
+        buf, offset, _dt = views[block[0]]
+        return buf[offset + block[1] : offset + block[1] + block[2]]
+
+    def fold(dst, part):
+        out = op.reduce_into(dst, part)
+        if out is not dst:
+            dst[...] = out
+
+    spare: list[np.ndarray] = []
+    for steps in rounds:
+        reqs = [comm._coll_irecv(*at(st.block), st.peer, st.tag) for st in steps if st.kind == RECV]
+        folds = [st for st in steps if st.kind == RECV_REDUCE]
+        inflight = [_post_fold(comm, st, at, spare, fold_n) for st in folds[:FOLD_WINDOW]]
+        reqs += [comm._coll_isend(*at(st.block), st.peer, st.tag) for st in steps if st.kind == SEND]
+        for req in reqs:
+            req.wait()
+        nfold = 0
+        for st in steps:
+            if st.kind == RECV_REDUCE:
+                req, scratch = inflight[nfold]
+                req.wait()
+                fold(array(st.block), scratch)
+                spare.append(scratch.base)
+                if nfold + FOLD_WINDOW < len(folds):
+                    inflight.append(_post_fold(comm, folds[nfold + FOLD_WINDOW], at, spare, fold_n))
+                nfold += 1
+            elif st.kind == COPY:
+                if isinstance(views[st.src[0]][0], np.ndarray) and isinstance(views[st.block[0]][0], np.ndarray):
+                    if st.fold:
+                        fold(array(st.block), array(st.src))
+                    else:
+                        array(st.block)[...] = array(st.src)
+                else:
+                    sbuf, soff, n, sdt = at(st.src[:2] + (st.block[2],))
+                    dbuf, doff, _n, ddt = at(st.block)
+                    _local_copy(sbuf, soff, n, sdt, dbuf, doff, n, ddt, comm._pool)
+    for stage, n, basic, buf, offset, count, dt in staged:
+        _local_copy(stage, 0, n, basic, buf, offset, count, dt, comm._pool)
+
+
+def _post_fold(comm, st: Step, at, spare: list, fold_n: int):
+    """Post one ``recv_reduce`` receive into a scratch array (recycled
+    from *spare* when one is free)."""
+    buf, _offset, n, dt = at(st.block)
+    whole = spare.pop() if spare else np.empty(fold_n, dtype=buf.dtype)
+    scratch = whole[:n]
+    return comm._coll_irecv(scratch, 0, n, dt, st.peer, st.tag), scratch

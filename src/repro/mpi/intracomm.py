@@ -8,7 +8,8 @@ communicator's *collective context*, so user point-to-point can never
 be matched by collective plumbing.
 
 Built-in algorithms (chosen to match common MPI practice at 2006-era
-scale):
+scale; each tunable one, and Barrier, Gatherv and Scatterv, is a
+schedule in :mod:`repro.mpi.algorithms`):
 
 ===============  =================================================
 Barrier          dissemination (⌈log2 p⌉ rounds)
@@ -29,8 +30,11 @@ each tunable collective consults the decision table in
 bytes, communicator size) — and may swap in one of the alternatives
 from :mod:`repro.mpi.algorithms` (Rabenseifner allreduce, pipelined
 trees, binomial gather/scatter, pairwise reduce-scatter, ring
-allgatherv...).  Large contiguous transfers inside collectives ride
-the zero-copy segment datapath (:mod:`repro.buffer.window`).
+allgatherv...).  Each method here validates its arguments, describes
+its operands and hands the selected schedule to
+:func:`repro.mpi.algorithms.execute`; contiguous operands ride the
+zero-copy segment datapath (:mod:`repro.buffer.window`) from the
+user's own storage.
 
 Communicator construction (``dup``/``split``/``create``) agrees on new
 context ids with an Allreduce(MAX) over each rank's context counter —
@@ -40,19 +44,19 @@ diverged still converge on identical contexts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import accumulate
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.mpi import algorithms
 from repro.mpi import op as ops
+from repro.mpi.algorithms import IN, OUT, _local_copy
 from repro.mpi.comm import (
     Comm,
-    TAG_ALLGATHER,
     TAG_ALLTOALL,
-    TAG_BARRIER,
-    TAG_BCAST,
     TAG_GATHER,
-    TAG_REDUCE,
     TAG_SCAN,
     TAG_SCATTER,
 )
@@ -100,28 +104,38 @@ class Intracomm(Comm):
         Must be called identically on every rank (like any collective
         tuning).  See :data:`repro.mpi.algorithms.REGISTRY` for choices.
         """
-        from repro.mpi import algorithms
-
         algorithms.validate(collective, algorithm)
         self._algorithms[collective] = algorithm
 
-    def _select_algorithm(self, collective: str, nbytes: int):
-        """Pick the algorithm for one collective call.
+    def _select_algorithm(self, collective: str, nbytes: int) -> str:
+        """Name the algorithm for one collective call.
 
         Manual override first, then the decision table (built-in or the
         one loaded from ``REPRO_COLL_TUNING``), then the built-in
-        default.  Returns ``(name, callable-or-None)``; None means the
-        built-in implementation.  The key (collective, nbytes, size) is
-        identical on every rank, so selection is rank-consistent.
+        default.  The key (collective, nbytes, size) is identical on
+        every rank, so selection is rank-consistent.
         """
-        from repro.mpi import algorithms, tuning
+        from repro.mpi import tuning
 
         name = self._algorithms.get(collective)
         if name is None:
             name = tuning.select(collective, nbytes, self.size())
         if name is None or name not in algorithms.REGISTRY[collective]:
             name = algorithms.DEFAULTS[collective]
-        return name, algorithms.REGISTRY[collective][name]
+        return name
+
+    def _collective(self, collective, nbytes, root, shape, datatype, operands, op=None) -> None:
+        """Run one tunable collective: select, resolve the preconditions'
+        fallbacks, label the metrics with the algorithm that runs, and
+        execute its schedule."""
+        name = algorithms.resolve(
+            collective, self._select_algorithm(collective, nbytes), self.size(), shape
+        )
+        self._observe_collective(collective, nbytes, algorithm=name)
+        schedule = algorithms.REGISTRY[collective][name](
+            self.rank(), self.size(), root, shape, self._select_algorithm
+        )
+        algorithms.execute(self, schedule, operands, datatype, op)
 
     # ==================================================================
     # communicator construction
@@ -306,23 +320,13 @@ class Intracomm(Comm):
     # Barrier
 
     def Barrier(self) -> None:
-        """Dissemination barrier: ⌈log2 p⌉ sendrecv rounds."""
+        """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte tokens."""
         self._check_live()
         self._coll_observe("barrier")
-        size, rank = self.size(), self.rank()
-        if size == 1:
-            return
-        token = np.zeros(1, dtype=np.int8)
-        sink = np.zeros(1, dtype=np.int8)
-        mask = 1
-        while mask < size:
-            dest = (rank + mask) % size
-            src = (rank - mask) % size
-            rreq = self._coll_irecv(sink, 0, 1, BYTE, src, TAG_BARRIER)
-            sreq = self._coll_isend(token, 0, 1, BYTE, dest, TAG_BARRIER)
-            rreq.wait()
-            sreq.wait()
-            mask <<= 1
+        schedule = algorithms.barrier_dissemination(
+            self.rank(), self.size(), 0, algorithms.Shape(0, 1), None
+        )
+        algorithms.execute(self, schedule, {}, BYTE)
 
     barrier = Barrier
 
@@ -340,45 +344,12 @@ class Intracomm(Comm):
         """Broadcast from *root* (algorithm selected per call)."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(buf, count, datatype)
-        algo, fn = self._select_algorithm("bcast", nbytes)
-        self._observe_collective("bcast", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, buf, offset, count, self._resolve_type(buf, datatype), root)
-            return
-        self._bcast_binomial(buf, offset, count, datatype, root)
-
-    def _bcast_binomial(
-        self,
-        buf: Any,
-        offset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        root: int,
-    ) -> None:
-        """Binomial-tree broadcast (the default algorithm)."""
-        size, rank = self.size(), self.rank()
-        if size == 1 or count == 0:
-            return
         datatype = self._resolve_type(buf, datatype)
-        relrank = (rank - root) % size
-
-        # Receive phase: the lowest set bit of relrank names the parent.
-        mask = 1
-        while mask < size:
-            if relrank & mask:
-                parent = (relrank - mask + size) % size
-                self._coll_recv(buf, offset, count, datatype, (parent + root) % size, TAG_BCAST)
-                break
-            mask <<= 1
-
-        # Send phase: fan out to children below the received bit.
-        mask >>= 1
-        while mask > 0:
-            if relrank + mask < size:
-                child = (relrank + mask) % size
-                self._coll_send(buf, offset, count, datatype, (child + root) % size, TAG_BCAST)
-            mask >>= 1
+        self._collective(
+            "bcast", datatype.packed_size(count), root,
+            algorithms.Shape.of(count, datatype), datatype,
+            {OUT: (buf, offset, count, datatype)},
+        )
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Object broadcast: returns the root's object everywhere."""
@@ -401,14 +372,18 @@ class Intracomm(Comm):
             )
         return buf.reshape(-1)
 
-    def _reduce_local(
-        self, buf: Any, offset: int, count: int, datatype: Datatype
-    ) -> np.ndarray:
-        """Copy the operand window out as a flat contiguous array."""
+    @staticmethod
+    def _check_reducible(datatype: Datatype) -> None:
         if datatype.base_dtype is None:
             raise MPIException("Reduce needs a primitive-based datatype")
         if datatype.extent != datatype.block_count:
             raise MPIException("Reduce needs a contiguous datatype layout")
+
+    def _reduce_local(
+        self, buf: Any, offset: int, count: int, datatype: Datatype
+    ) -> np.ndarray:
+        """Copy the operand window out as a flat contiguous array."""
+        self._check_reducible(datatype)
         flat = np.asarray(buf).reshape(-1)
         n = count * datatype.block_count
         return flat[offset : offset + n].copy()
@@ -427,72 +402,17 @@ class Intracomm(Comm):
         """Reduce *count* elements to *root* with *op*."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(sendbuf, count, datatype)
-        algo, fn = self._select_algorithm("reduce", nbytes)
-        self._observe_collective("reduce", nbytes, algorithm=algo)
         datatype = self._resolve_type(sendbuf, datatype)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root)
-            return
-        self._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+        self._check_reducible(datatype)
+        if self.rank() == root:
+            self._writable_flat(recvbuf)
+        self._collective(
+            "reduce", datatype.packed_size(count), root,
+            algorithms.Shape.of(count, datatype, op), datatype,
+            {IN: (sendbuf, sendoffset, count, datatype),
+             OUT: (recvbuf, recvoffset, count, datatype)},
+            op,
         )
-
-    def _reduce_default(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        count: int,
-        datatype: Datatype,
-        op: ops.Op,
-        root: int,
-    ) -> None:
-        """Binomial combine (commutative ops), linear gather-fold else."""
-        size, rank = self.size(), self.rank()
-        acc = self._reduce_local(sendbuf, sendoffset, count, datatype)
-        n = acc.size
-
-        if size > 1 and op.commute:
-            # Binomial combine toward root (virtual ranks).
-            relrank = (rank - root) % size
-            tmp = np.empty_like(acc)
-            mask = 1
-            while mask < size:
-                if relrank & mask:
-                    parent = ((relrank - mask) + root) % size
-                    self._coll_send(acc, 0, n, None, parent, TAG_REDUCE)
-                    break
-                child_rel = relrank + mask
-                if child_rel < size:
-                    child = (child_rel + root) % size
-                    self._coll_recv(tmp, 0, n, None, child, TAG_REDUCE)
-                    acc = op.reduce_arrays(acc, tmp)
-                mask <<= 1
-        elif size > 1:
-            # Non-commutative: gather to root, fold incrementally in rank
-            # order through one reused staging array.
-            if rank == root:
-                result: Optional[np.ndarray] = None
-                tmp = np.empty_like(acc)
-                for r in range(size):
-                    if r == rank:
-                        part = acc
-                    else:
-                        self._coll_recv(tmp, 0, n, None, r, TAG_REDUCE)
-                        part = tmp
-                    if result is None:
-                        result = part if part is acc else part.copy()
-                    else:
-                        result = op.reduce_arrays(result, part)
-                acc = result
-            else:
-                self._coll_send(acc, 0, n, None, root, TAG_REDUCE)
-
-        if rank == root:
-            flat = self._writable_flat(recvbuf)
-            flat[recvoffset : recvoffset + n] = acc
 
     def Allreduce(
         self,
@@ -507,14 +427,15 @@ class Intracomm(Comm):
         """Allreduce (algorithm selected per call; reduce+bcast default)."""
         self._check_live()
         datatype = self._resolve_type(sendbuf, datatype)
-        nbytes = self._coll_nbytes(sendbuf, count, datatype)
-        algo, fn = self._select_algorithm("allreduce", nbytes)
-        self._observe_collective("allreduce", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op)
-            return
-        self.Reduce(sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, 0)
-        self.Bcast(recvbuf, recvoffset, count, datatype, 0)
+        self._check_reducible(datatype)
+        self._writable_flat(recvbuf)
+        self._collective(
+            "allreduce", datatype.packed_size(count), 0,
+            algorithms.Shape.of(count, datatype, op), datatype,
+            {IN: (sendbuf, sendoffset, count, datatype),
+             OUT: (recvbuf, recvoffset, count, datatype)},
+            op,
+        )
 
     def Reduce_scatter(
         self,
@@ -530,39 +451,16 @@ class Intracomm(Comm):
         self._check_live()
         self._check_vector_args(recvcounts)
         datatype = self._resolve_type(sendbuf, datatype)
-        nbytes = self._coll_nbytes(sendbuf, int(sum(recvcounts)), datatype)
-        algo, fn = self._select_algorithm("reduce_scatter", nbytes)
-        self._observe_collective("reduce_scatter", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op)
-            return
-        self._reduce_scatter_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
-        )
-
-    def _reduce_scatter_default(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        recvcounts: Sequence[int],
-        datatype: Datatype,
-        op: ops.Op,
-    ) -> None:
-        """Reduce to rank 0 + Scatterv; staging buffer at the root only."""
-        rank = self.rank()
+        self._check_reducible(datatype)
         total = int(sum(recvcounts))
-        full = (
-            np.empty(total * datatype.block_count, dtype=datatype.base_dtype)
-            if rank == 0
-            else None
-        )
-        self.Reduce(sendbuf, sendoffset, full, 0, total, datatype, op, 0)
-        displs = np.concatenate(([0], np.cumsum(recvcounts)[:-1])).astype(int)
-        self.Scatterv(
-            full, 0, list(recvcounts), list(displs), datatype,
-            recvbuf, recvoffset, int(recvcounts[rank]), datatype, 0,
+        displs = list(accumulate(recvcounts[:-1], initial=0))
+        self._collective(
+            "reduce_scatter", datatype.packed_size(total), 0,
+            _placed(algorithms.Shape.of(total, datatype, op), recvcounts, displs, datatype),
+            datatype,
+            {IN: (sendbuf, sendoffset, total, datatype),
+             OUT: (recvbuf, recvoffset, int(recvcounts[self.rank()]), datatype)},
+            op,
         )
 
     def Scan(
@@ -629,43 +527,19 @@ class Intracomm(Comm):
         """Gather to *root*, rank i landing at block i."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(sendbuf, sendcount, sendtype) * self.size()
-        algo, fn = self._select_algorithm("gather", nbytes)
-        self._observe_collective("gather", nbytes, algorithm=algo)
+        size = self.size()
         sendtype = self._resolve_type(sendbuf, sendtype)
-        if fn is not None:
-            if self.rank() == root:
-                recvtype = self._resolve_type(recvbuf, recvtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype, root)
-            return
-        self._gather_linear(sendbuf, sendoffset, sendcount, sendtype,
-                            recvbuf, recvoffset, recvcount, recvtype, root)
-
-    def _gather_linear(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Datatype,
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Optional[Datatype],
-        root: int,
-    ) -> None:
-        """Linear gather: every rank sends straight to the root."""
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_send(sendbuf, sendoffset, sendcount, sendtype, root, TAG_GATHER)
-            return
-        recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            disp = recvoffset + r * recvcount * recvtype.extent
-            if r == rank:
-                _local_copy(sendbuf, sendoffset, sendcount, sendtype,
-                            recvbuf, disp, recvcount, recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_irecv(recvbuf, disp, recvcount, recvtype, r, TAG_GATHER)
-                )
-        for req in requests:
-            req.wait()
+        operands = {IN: (sendbuf, sendoffset, sendcount, sendtype)}
+        # The block is fixed by the (matching) type signatures, so each
+        # rank reads it off its own significant operand.
+        own, own_count = sendtype, sendcount
+        if self.rank() == root:
+            own, own_count = self._resolve_type(recvbuf, recvtype), recvcount
+            operands[OUT] = (recvbuf, recvoffset, size * recvcount, own)
+        self._collective(
+            "gather", sendtype.packed_size(sendcount) * size, root,
+            algorithms.Shape.of(own_count, own), own, operands,
+        )
 
     def Gatherv(
         self,
@@ -676,26 +550,19 @@ class Intracomm(Comm):
         """Gather with per-rank counts and displacements (in elements)."""
         self._check_live()
         self._check_rank(root)
-        size, rank = self.size(), self.rank()
         sendtype = self._resolve_type(sendbuf, sendtype)
-        if rank != root:
-            self._coll_send(sendbuf, sendoffset, sendcount, sendtype, root, TAG_GATHER)
-            return
-        if len(recvcounts) != size or len(displs) != size:
-            raise MPIException("recvcounts/displs must have one entry per rank")
-        recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            disp = recvoffset + displs[r] * recvtype.extent
-            if r == rank:
-                _local_copy(sendbuf, sendoffset, sendcount, sendtype,
-                            recvbuf, disp, recvcounts[r], recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_irecv(recvbuf, disp, recvcounts[r], recvtype, r, TAG_GATHER)
-                )
-        for req in requests:
-            req.wait()
+        operands = {IN: (sendbuf, sendoffset, sendcount, sendtype)}
+        shape = algorithms.Shape.of(sendcount, sendtype)
+        if self.rank() == root:
+            if len(recvcounts) != self.size() or len(displs) != self.size():
+                raise MPIException("recvcounts/displs must have one entry per rank")
+            recvtype = self._resolve_type(recvbuf, recvtype)
+            operands[OUT] = (recvbuf, recvoffset, _span(recvcounts, displs), recvtype)
+            shape = _placed(shape, recvcounts, displs, recvtype)
+        algorithms.execute(
+            self, algorithms.gatherv_linear(self.rank(), self.size(), root, shape, None),
+            operands, sendtype,
+        )
 
     def Scatter(
         self,
@@ -706,43 +573,17 @@ class Intracomm(Comm):
         """Scatter from *root*, block i going to rank i."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(recvbuf, recvcount, recvtype) * self.size()
-        algo, fn = self._select_algorithm("scatter", nbytes)
-        self._observe_collective("scatter", nbytes, algorithm=algo)
+        size = self.size()
         recvtype = self._resolve_type(recvbuf, recvtype)
-        if fn is not None:
-            if self.rank() == root:
-                sendtype = self._resolve_type(sendbuf, sendtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype, root)
-            return
-        self._scatter_linear(sendbuf, sendoffset, sendcount, sendtype,
-                             recvbuf, recvoffset, recvcount, recvtype, root)
-
-    def _scatter_linear(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Datatype,
-        root: int,
-    ) -> None:
-        """Linear scatter: the root sends straight to every rank."""
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_recv(recvbuf, recvoffset, recvcount, recvtype, root, TAG_SCATTER)
-            return
-        sendtype = self._resolve_type(sendbuf, sendtype)
-        requests = []
-        for r in range(size):
-            disp = sendoffset + r * sendcount * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, disp, sendcount, sendtype,
-                            recvbuf, recvoffset, recvcount, recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_isend(sendbuf, disp, sendcount, sendtype, r, TAG_SCATTER)
-                )
-        for req in requests:
-            req.wait()
+        operands = {OUT: (recvbuf, recvoffset, recvcount, recvtype)}
+        own, own_count = recvtype, recvcount
+        if self.rank() == root:
+            own, own_count = self._resolve_type(sendbuf, sendtype), sendcount
+            operands[IN] = (sendbuf, sendoffset, size * sendcount, own)
+        self._collective(
+            "scatter", recvtype.packed_size(recvcount) * size, root,
+            algorithms.Shape.of(own_count, own), own, operands,
+        )
 
     def Scatterv(
         self,
@@ -754,26 +595,19 @@ class Intracomm(Comm):
         """Scatter with per-rank counts and displacements."""
         self._check_live()
         self._check_rank(root)
-        size, rank = self.size(), self.rank()
         recvtype = self._resolve_type(recvbuf, recvtype)
-        if rank != root:
-            self._coll_recv(recvbuf, recvoffset, recvcount, recvtype, root, TAG_SCATTER)
-            return
-        if len(sendcounts) != size or len(displs) != size:
-            raise MPIException("sendcounts/displs must have one entry per rank")
-        sendtype = self._resolve_type(sendbuf, sendtype)
-        requests = []
-        for r in range(size):
-            disp = sendoffset + displs[r] * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, disp, sendcounts[r], sendtype,
-                            recvbuf, recvoffset, recvcount, recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_isend(sendbuf, disp, sendcounts[r], sendtype, r, TAG_SCATTER)
-                )
-        for req in requests:
-            req.wait()
+        operands = {OUT: (recvbuf, recvoffset, recvcount, recvtype)}
+        shape = algorithms.Shape.of(recvcount, recvtype)
+        if self.rank() == root:
+            if len(sendcounts) != self.size() or len(displs) != self.size():
+                raise MPIException("sendcounts/displs must have one entry per rank")
+            sendtype = self._resolve_type(sendbuf, sendtype)
+            operands[IN] = (sendbuf, sendoffset, _span(sendcounts, displs), sendtype)
+            shape = _placed(shape, sendcounts, displs, sendtype)
+        algorithms.execute(
+            self, algorithms.scatterv_linear(self.rank(), self.size(), root, shape, None),
+            operands, recvtype,
+        )
 
     def Allgather(
         self,
@@ -782,42 +616,15 @@ class Intracomm(Comm):
     ) -> None:
         """Allgather (default: ring, p-1 steps forwarding one block)."""
         self._check_live()
+        size = self.size()
         sendtype = self._resolve_type(sendbuf, sendtype)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        nbytes = self._coll_nbytes(sendbuf, sendcount, sendtype) * self.size()
-        algo, fn = self._select_algorithm("allgather", nbytes)
-        self._observe_collective("allgather", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype)
-            return
-        self._allgather_ring(sendbuf, sendoffset, sendcount, sendtype,
-                             recvbuf, recvoffset, recvcount, recvtype)
-
-    def _allgather_ring(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Datatype,
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Datatype,
-    ) -> None:
-        """Ring allgather: p-1 steps, each forwarding one block."""
-        size, rank = self.size(), self.rank()
-        # Own block into place first.
-        own_disp = recvoffset + rank * recvcount * recvtype.extent
-        _local_copy(sendbuf, sendoffset, sendcount, sendtype,
-                    recvbuf, own_disp, recvcount, recvtype, self._pool)
-        if size == 1:
-            return
-        right = (rank + 1) % size
-        left = (rank - 1) % size
-        for step in range(size - 1):
-            send_block = (rank - step) % size
-            recv_block = (rank - step - 1) % size
-            send_disp = recvoffset + send_block * recvcount * recvtype.extent
-            recv_disp = recvoffset + recv_block * recvcount * recvtype.extent
-            rreq = self._coll_irecv(recvbuf, recv_disp, recvcount, recvtype, left, TAG_ALLGATHER)
-            sreq = self._coll_isend(recvbuf, send_disp, recvcount, recvtype, right, TAG_ALLGATHER)
-            rreq.wait()
-            sreq.wait()
+        self._collective(
+            "allgather", sendtype.packed_size(sendcount) * size, 0,
+            algorithms.Shape.of(recvcount, recvtype), recvtype,
+            {IN: (sendbuf, sendoffset, sendcount, sendtype),
+             OUT: (recvbuf, recvoffset, size * recvcount, recvtype)},
+        )
 
     def Allgatherv(
         self,
@@ -829,30 +636,15 @@ class Intracomm(Comm):
         self._check_live()
         self._check_vector_args(recvcounts, displs)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        nbytes = self._coll_nbytes(recvbuf, int(sum(recvcounts)), recvtype)
-        algo, fn = self._select_algorithm("allgatherv", nbytes)
-        self._observe_collective("allgatherv", nbytes, algorithm=algo)
-        if fn is not None:
-            sendtype = self._resolve_type(sendbuf, sendtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcounts, displs, recvtype)
-            return
-        self._allgatherv_gather_bcast(sendbuf, sendoffset, sendcount, sendtype,
-                                      recvbuf, recvoffset, recvcounts, displs, recvtype)
-
-    def _allgatherv_gather_bcast(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
-        recvbuf: Any, recvoffset: int, recvcounts: Sequence[int],
-        displs: Sequence[int], recvtype: Datatype,
-    ) -> None:
-        """Gatherv to rank 0 + Bcast of the assembled span."""
-        self.Gatherv(sendbuf, sendoffset, sendcount, sendtype,
-                     recvbuf, recvoffset, recvcounts, displs, recvtype, 0)
-        total_span = max(
-            d + c for d, c in zip(displs, recvcounts)
-        ) if len(recvcounts) else 0
-        self.Bcast(recvbuf, recvoffset, int(total_span), recvtype, 0)
+        sendtype = self._resolve_type(sendbuf, sendtype)
+        span = _span(recvcounts, displs)
+        self._collective(
+            "allgatherv", recvtype.packed_size(int(sum(recvcounts))), 0,
+            _placed(algorithms.Shape.of(span, recvtype), recvcounts, displs, recvtype),
+            recvtype,
+            {IN: (sendbuf, sendoffset, sendcount, sendtype),
+             OUT: (recvbuf, recvoffset, span, recvtype)},
+        )
 
     def Alltoall(
         self,
@@ -1006,22 +798,18 @@ class Intracomm(Comm):
         return acc
 
 
-def _local_copy(
-    sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcount, recvtype, pool,
-) -> None:
-    """Root's self-block: pack/unpack through a buffer, no device trip.
 
-    Going through the pack/unpack machinery (rather than a numpy slice
-    copy) keeps derived-datatype semantics identical for the local and
-    remote paths.
-    """
-    if sendcount == 0:
-        return
-    staging = pool.acquire(sendtype.packed_size(sendcount) + 64)
-    try:
-        sendtype.pack(staging, sendbuf, sendoffset, sendcount)
-        staging.commit()
-        recvtype.unpack(staging, recvbuf, recvoffset, recvcount)
-    finally:
-        staging.free()
+def _span(counts: Sequence[int], displs: Sequence[int]) -> int:
+    """Elements from the first block's start to the last block's end."""
+    return int(max((d + c for d, c in zip(displs, counts)), default=0))
+
+
+def _placed(shape, counts, displs, datatype):
+    """*shape* with per-rank blocks at explicit displacements (elements
+    of *datatype*, in base elements)."""
+    bc = datatype.block_count
+    return replace(
+        shape,
+        counts=tuple(int(c) * bc for c in counts),
+        displs=tuple(int(d) * bc for d in displs),
+    )

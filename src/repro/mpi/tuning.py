@@ -157,8 +157,9 @@ class DecisionTable:
 #: reduce+bcast (whose sub-collectives tune themselves through this
 #: same table) win at every measured size.  Re-tune for
 #: network fabrics and load via ``REPRO_COLL_TUNING`` — there the
-#: crossovers flip back toward the bandwidth-optimal algorithms (the
-#: netsim models in repro.netsim.collectives show where).  An empty
+#: crossovers flip back toward the bandwidth-optimal algorithms
+#: (repro.netsim.collectives prices each algorithm's own schedule and
+#: shows where).  An empty
 #: rule list means the built-in default (algorithms.DEFAULTS) always
 #: wins.
 BUILTIN = DecisionTable(

@@ -46,11 +46,9 @@ from repro.netsim.pingpong import (
     bandwidth_mbps,
     sweep,
 )
-from repro.netsim.collectives import MODELS as COLLECTIVE_MODELS
 from repro.netsim.collectives import compare as compare_collectives
 
 __all__ = [
-    "COLLECTIVE_MODELS",
     "CopyStage",
     "compare_collectives",
     "Event",

@@ -1,8 +1,9 @@
 """Ablation: collective algorithm choice on the simulated StarBug cluster.
 
 Projects each algorithm of :mod:`repro.mpi.algorithms` onto the paper's
-8-node cluster using the calibrated MPJ Express point-to-point model
-(:mod:`repro.netsim.collectives`), and checks the classic crossovers:
+8-node cluster: :mod:`repro.netsim.collectives` prices each algorithm's
+schedule with the calibrated MPJ Express point-to-point model, and the
+checks below are the classic crossovers:
 
 * binomial broadcast beats linear for p > 2;
 * scatter+allgather broadcast beats binomial for large messages;
@@ -12,7 +13,8 @@ Projects each algorithm of :mod:`repro.mpi.algorithms` onto the paper's
 
 import pytest
 
-from repro.netsim.collectives import MODELS, compare
+from repro.mpi.algorithms import REGISTRY
+from repro.netsim.collectives import compare
 from repro.netsim.libraries import libraries_for
 
 P = 8  # StarBug: 8 nodes
@@ -26,7 +28,7 @@ def lib():
 
 def render(collective: str, lib, sizes) -> str:
     lines = [f"{collective} on {P}-node FastEthernet cluster ({LIB_NAME} model):"]
-    algos = sorted(MODELS[collective])
+    algos = sorted(REGISTRY[collective])
     header = f"{'size':>10}" + "".join(f"{a:>22}" for a in algos)
     lines.append(header)
     for m in sizes:
@@ -38,10 +40,10 @@ def render(collective: str, lib, sizes) -> str:
 
 
 class TestBcastAlgorithms:
-    def test_sweep(self, benchmark, show, lib):
+    def test_sweep(self, lib):
         sizes = [1024, 64 * 1024, 1 << 20, 16 << 20]
-        text = benchmark(render, "bcast", lib, sizes)
-        show("Ablation: broadcast algorithms at cluster scale", text)
+        text = render("bcast", lib, sizes)
+        print("Ablation: broadcast algorithms at cluster scale", text, sep="\n")
 
     def test_binomial_beats_linear(self, lib):
         for m in (1024, 1 << 20):
@@ -70,9 +72,9 @@ class TestBcastAlgorithms:
 
 
 class TestAllreduceAlgorithms:
-    def test_sweep(self, benchmark, show, lib):
-        text = benchmark(render, "allreduce", lib, [1024, 1 << 20])
-        show("Ablation: allreduce algorithms at cluster scale", text)
+    def test_sweep(self, lib):
+        text = render("allreduce", lib, [1024, 1 << 20])
+        print("Ablation: allreduce algorithms at cluster scale", text, sep="\n")
 
     def test_recursive_doubling_halves_rounds(self, lib):
         for m in (1024, 1 << 20):
@@ -83,9 +85,9 @@ class TestAllreduceAlgorithms:
 
 
 class TestAllgatherAlgorithms:
-    def test_sweep(self, benchmark, show, lib):
-        text = benchmark(render, "allgather", lib, [1024, 256 * 1024])
-        show("Ablation: allgather algorithms at cluster scale", text)
+    def test_sweep(self, lib):
+        text = render("allgather", lib, [1024, 256 * 1024])
+        print("Ablation: allgather algorithms at cluster scale", text, sep="\n")
 
     def test_ring_beats_gather_bcast(self, lib):
         for m in (1024, 256 * 1024):
@@ -94,7 +96,7 @@ class TestAllgatherAlgorithms:
 
 
 class TestScaling:
-    def test_binomial_scales_logarithmically(self, benchmark, show, lib):
+    def test_binomial_scales_logarithmically(self, lib):
         def scaling():
             rows = []
             for p in (2, 4, 8, 16, 32, 64):
@@ -102,13 +104,14 @@ class TestScaling:
                 rows.append((p, t["binomial"], t["linear"]))
             return rows
 
-        rows = benchmark(scaling)
-        show(
+        rows = scaling()
+        print(
             "Broadcast scaling with node count (64 KB)",
             "\n".join(
                 f"p={p:3d}  binomial {tb * 1e6:9.1f} µs   linear {tl * 1e6:9.1f} µs"
                 for p, tb, tl in rows
             ),
+            sep="\n",
         )
         # Doubling p adds one binomial round but ~doubles linear time.
         t2, t64 = rows[0][1], rows[-1][1]
