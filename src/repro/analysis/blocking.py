@@ -19,9 +19,12 @@ structural:
 Designed-blocking sites (the bounded doorbell in ``Backoff.wait``, the
 bounded dial retry) carry inline
 ``# reprolint: allow[no-block-in-poller] -- why`` waivers; an allow on
-a *call site* line prunes that edge, so the deliberate
-``fork_rendezvous_writer=False`` ablation can be waived at the inline
-call without hiding new blocking paths.
+a *call site* line prunes that edge without hiding new blocking paths.
+The rendezvous data write is one such site: a poller-delivered RTR
+forks it onto a ``rendez-write-thread`` unless the deliberate
+``fork_rendezvous_writer=False`` ablation is set, and niodev's
+``sendmsg`` carries the waiver.  An RTR delivered on a writing thread
+(smdev, niodev's frames to self) is written inline, on no poller.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ pinned connection for niodev's byte stream, the outbound-ring lock for
 procdev.  The engine holds none of its own locks across a ``write``,
 so a transport blocking on a full medium can never wedge another
 thread's protocol step — and a transport whose ``write`` runs the
-receiver's :meth:`ProtocolEngine.handle_frame` inline (smdev, niodev's
-rank-to-self path) can never re-enter a lock its caller holds.  No
+receiver's :meth:`ProtocolEngine.deliver_segments` inline (smdev,
+niodev's rank-to-self path) can never re-enter a lock its caller holds.  No
 lock for reading: frames demultiplex by content route onto the
 matching shards, whichever thread delivers them.
 
@@ -239,10 +239,12 @@ class ProtocolEngine:
         #: unexpected-message storage.
         self.raw_pool = RawPool(stats=self.copy_stats)
         #: Paper Fig. 8 forks a "rendez-write-thread" per RTR so the
-        #: input handler never blocks on a large write.  Disabling this
-        #: (ablation) performs the write on the thread that delivered
-        #: the RTR — on niodev the input handler, the configuration the
-        #: paper warns can deadlock.
+        #: input handler never blocks on a large write.  It applies to
+        #: RTRs a progress thread hands to :meth:`handle_frame` (niodev,
+        #: procdev); one delivered by :meth:`deliver_segments` is always
+        #: answered on its delivering thread.  Disabling this (ablation)
+        #: performs the write on niodev's input handler, the
+        #: configuration the paper warns can deadlock.
         self.fork_rendezvous_writer = fork_rendezvous_writer
 
         #: Endpoint count (option > REPRO_ENDPOINTS env > default) and
@@ -756,10 +758,16 @@ class ProtocolEngine:
         The delivery routine of the in-process paths (smdev, niodev's
         rank-to-self frames), run on the writing thread: a complete
         rendezvous payload is gathered straight into the posted
-        buffer's memory, anything else goes to :meth:`handle_frame`.
-        The segments are consumed before this returns.
+        buffer's memory, an RTR's data is written on this same thread
+        (there is no input handler to keep free, so no writer thread is
+        forked), anything else goes to :meth:`handle_frame`.  The
+        segments are consumed before this returns.
         """
         header = FrameHeader.decode(segments[0])
+        if header.type == FrameType.RTR:
+            lc = self.clock.merge(header.clock)
+            self._handle_rtr(src_pid, header, lc=lc, fork=False)
+            return
         payload = segments[1:]
         # Actual bytes present, which a fault-injecting wrapper may
         # have truncated below header.payload_len — such frames must
@@ -788,8 +796,10 @@ class ProtocolEngine:
         procdev's progress threads, or the writing thread on smdev.
         Must never block indefinitely: the only potentially long
         operation — the rendezvous data write — is forked to a separate
-        thread.  An inline reply (an RTR answering an RTS, then the
-        data answering the RTR) recurses at most those two levels.
+        thread (an RTR delivered by :meth:`deliver_segments` skips this
+        method and writes inline).  An inline reply (an RTR answering
+        an RTS, then the data answering the RTR) recurses at most those
+        two levels.
 
         *payload* may be a single bytes-like or a segment list; the
         engine consumes it before returning unless it takes ownership
@@ -947,9 +957,11 @@ class ProtocolEngine:
             self._answer_rts(msg, recv_id, matched.request.trace_id)
 
     def _handle_rtr(
-        self, src_pid: ProcessID, header: FrameHeader, lc: int = 0
+        self, src_pid: ProcessID, header: FrameHeader, lc: int = 0,
+        fork: bool = True,
     ) -> None:
-        # Fig. 8, ready-to-receive branch: fork a rendez-write-thread.
+        # Fig. 8, ready-to-receive branch: fork a rendez-write-thread
+        # when a progress thread delivered the RTR (*fork*).
         with self._send_lock:
             pending = self._pending_sends.pop(header.send_id, None)
         if pending is None:
@@ -1007,7 +1019,7 @@ class ProtocolEngine:
                 on_delivered,
             )
 
-        if self.fork_rendezvous_writer:
+        if fork and self.fork_rendezvous_writer:
             self._stats["rendezvous_writer_threads"].inc()
             threading.Thread(
                 target=rendez_write, name="rendez-write-thread", daemon=True

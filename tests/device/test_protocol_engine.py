@@ -177,14 +177,56 @@ class TestRendezvousWriterAblation:
             for d in devices:
                 d.finish()
 
-    def test_forked_writer_spawns_thread(self, smjob):
-        devs, pids = smjob
-        big = np.zeros(256 * 1024, dtype=np.int8)
-        t = threading.Thread(
-            target=lambda: devs[0].send(send_buffer(big), pids[1], 1, 0)
-        )
-        t.start()
-        rbuf = Buffer()
-        devs[1].recv(rbuf, pids[0], 1, 0)
-        t.join(20)
-        assert devs[0].engine.stats["rendezvous_writer_threads"] == 1
+    def test_forked_writer_spawns_thread(self):
+        # niodev's input handler delivers the RTR through handle_frame,
+        # so the data write goes to exactly one forked writer (Fig. 8).
+        # smdev answers an RTR on its delivering thread and forks none.
+        devs, pids = make_job("niodev", 2)
+        try:
+            big = np.zeros(256 * 1024, dtype=np.int8)
+            t = threading.Thread(
+                target=lambda: devs[0].send(send_buffer(big), pids[1], 1, 0)
+            )
+            t.start()
+            rbuf = Buffer()
+            devs[1].recv(rbuf, pids[0], 1, 0)
+            t.join(20)
+            assert not t.is_alive()
+            assert devs[0].engine.stats["rendezvous_writer_threads"] == 1
+        finally:
+            for d in devs:
+                d.finish()
+
+
+class TestRendezvousWriteOnDeliveringThread:
+    """An RTR delivered through ``deliver_segments`` (smdev, mxdev,
+    niodev's rank-to-self frames) is answered on the delivering thread:
+    the data is written without forking a rendez-write-thread."""
+
+    @pytest.mark.parametrize("order", ["posted_first", "rts_first"])
+    @pytest.mark.parametrize(
+        "device,nprocs", [("smdev", 2), ("mxdev", 2), ("niodev", 1)]
+    )
+    def test_no_writer_thread(self, device, nprocs, order):
+        devs, pids = make_job(device, nprocs)
+        sender, receiver = devs[0], devs[-1]
+        try:
+            payload = np.arange(1 << 20, dtype=np.uint8)
+            rbuf = Buffer(capacity=payload.nbytes + 64)
+            if order == "posted_first":
+                rreq = receiver.irecv(rbuf, pids[0], 4, 0)
+                sreq = sender.isend(send_buffer(payload), pids[-1], 4, 0)
+            else:
+                sreq = sender.isend(send_buffer(payload), pids[-1], 4, 0)
+                assert receiver.engine.stats["unexpected_messages"] == 1
+                rreq = receiver.irecv(rbuf, pids[0], 4, 0)
+            rreq.wait(timeout=20)
+            assert sreq.wait(timeout=20) is not None
+            out = np.empty_like(payload)
+            rbuf.read_section(out=out)
+            np.testing.assert_array_equal(out, payload)
+            assert sender.engine.stats["rendezvous_sends"] == 1
+            assert sender.engine.stats["rendezvous_writer_threads"] == 0
+        finally:
+            for d in devs:
+                d.finish()

@@ -200,9 +200,10 @@ class TestSimultaneousLargeMessages:
 
     def test_sendrecv_without_writer_threads_on_smdev(self):
         """The same exchange as one MPI Sendrecv per rank, with the
-        rendez-write-thread ablated.  smdev answers an RTR on the thread
-        that wrote the RTS, so nothing waits on a blocked handler and
-        the exchange completes; on niodev the ablation can deadlock."""
+        rendez-write-thread ablated.  smdev writes the data on the
+        thread that delivers the RTR whatever the option says, so
+        nothing waits on a blocked handler and the exchange completes;
+        on niodev the ablation can deadlock."""
         n = (1 << 20) // 8  # 1 MiB of doubles
 
         def main(env):

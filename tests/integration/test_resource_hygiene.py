@@ -44,6 +44,8 @@ class TestThreadHygiene:
         )
 
     def test_rendezvous_writers_terminate(self):
+        # smdev writes the data on the thread that delivers the RTR and
+        # forks no writer; niodev's input handler forks one per RTR.
         def main(env):
             comm = env.COMM_WORLD
             big = np.zeros(100_000)
@@ -52,17 +54,19 @@ class TestThreadHygiene:
             else:
                 buf = np.zeros(big.size)
                 comm.Recv(buf, 0, big.size, mpi.DOUBLE, 0, 1)
-            return True
+            return env.device.engine.stats["rendezvous_writer_threads"]
 
-        baseline = threading.active_count()
-        for _ in range(3):
-            assert all(run_spmd(main, 2))
-        after = settle(baseline)
-        writers = [
-            t for t in threading.enumerate() if "rendez-write" in t.name and t.is_alive()
-        ]
-        assert not writers, f"leaked rendezvous writers: {writers}"
-        assert after <= baseline + 4
+        for device, forks in (("smdev", False), ("niodev", True)):
+            baseline = threading.active_count()
+            forked = sum(sum(run_spmd(main, 2, device=device)) for _ in range(3))
+            assert (forked > 0) == forks, (device, forked)
+            after = settle(baseline)
+            writers = [
+                t for t in threading.enumerate()
+                if "rendez-write" in t.name and t.is_alive()
+            ]
+            assert not writers, f"leaked rendezvous writers on {device}: {writers}"
+            assert after <= baseline + 4
 
 
 class TestSocketHygiene:
