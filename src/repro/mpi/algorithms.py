@@ -31,10 +31,16 @@ Each algorithm is written once, as a *schedule*: a generator
 ``schedule(rank, size, root, shape, select)`` that yields one rank's
 :class:`Step` list per global round.  Every rank yields the same number
 of rounds, and within a round each send meets a receive of the same
-tag and size at its peer.  :func:`execute` runs any schedule live over
-``_coll_irecv``/``_coll_isend``; :func:`repro.netsim.collectives.cost`
-prices the same schedule with a library model's T(m), so the live path,
-the tuner and the model cannot disagree about what an algorithm sends.
+tag and size at its peer.  :func:`plan` materialises one rank's
+schedule once — its non-empty rounds, each pre-split into receives,
+folds and sends, plus the extent of every buffer it names — and a
+communicator caches the plan per call shape.  :func:`execute` runs a
+plan live, posting each step at the device layer
+(``Comm._post_recv``/``Comm._post_send``, every argument check
+included) and reaping the device requests as blocking ``Send``/``Recv``
+do; :func:`repro.netsim.collectives.cost` prices the same schedule with
+a library model's T(m), so the live path, the tuner and the model
+cannot disagree about what an algorithm sends.
 
 A step names *blocks*, never arrays: ``(buffer, lo, n)`` with a
 symbolic buffer — ``in`` (the send operand), ``out`` (the receive
@@ -54,6 +60,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from repro.buffer.window import ArrayRecvWindow
 from repro.mpi.comm import (
     TAG_ALLGATHER,
     TAG_BARRIER,
@@ -755,6 +762,14 @@ REGISTRY: dict[str, dict[str, Callable[..., Schedule]]] = {
     },
 }
 
+#: Collectives with one algorithm: collective -> (name, schedule).  They
+#: run through the same executor but are not tunable.
+FIXED: dict[str, tuple[str, Callable[..., Schedule]]] = {
+    "barrier": ("dissemination", barrier_dissemination),
+    "gatherv": ("linear", gatherv_linear),
+    "scatterv": ("linear", scatterv_linear),
+}
+
 #: The built-in default algorithm name per collective.
 DEFAULTS: dict[str, str] = {
     "bcast": "binomial",
@@ -821,6 +836,63 @@ def validate(collective: str, algorithm: str) -> None:
 
 
 # ----------------------------------------------------------------------
+# Plans
+
+
+class Round(NamedTuple):
+    """One non-empty round of a plan, its steps pre-split by what the
+    executor does with them."""
+
+    recvs: tuple[Step, ...]
+    folds: tuple[Step, ...]  # the recv_reduce steps
+    sends: tuple[Step, ...]
+    local: tuple[Step, ...]  # recv_reduce and copy steps, in step order
+
+
+class Plan(NamedTuple):
+    """One rank's schedule, materialised for :func:`execute`.
+
+    *extent* pairs each buffer the steps name with the base elements
+    they reach, *written* names the buffers a step receives, folds or
+    copies into, and *fold_n* is the longest ``recv_reduce`` block (the
+    size of the fold scratch arrays).
+    """
+
+    rounds: tuple[Round, ...]
+    extent: tuple[tuple[str, int], ...]
+    written: frozenset[str]
+    fold_n: int
+
+
+def plan(schedule: Schedule) -> Plan:
+    """Materialise *schedule*.  A plan depends on the schedule alone, so
+    a communicator keeps it for every call of the same shape."""
+    rounds = []
+    extent: dict[str, int] = {}
+    written: set[str] = set()
+    fold_n = 0
+    for steps in schedule:
+        if not steps:
+            continue
+        for st in steps:
+            name, lo, n = st.block
+            extent[name] = max(extent.get(name, 0), lo + n)
+            if st.src is not None:
+                extent[st.src[0]] = max(extent.get(st.src[0], 0), st.src[1] + n)
+            if st.kind != SEND:
+                written.add(name)
+            if st.kind == RECV_REDUCE:
+                fold_n = max(fold_n, n)
+        rounds.append(Round(
+            tuple(st for st in steps if st.kind == RECV),
+            tuple(st for st in steps if st.kind == RECV_REDUCE),
+            tuple(st for st in steps if st.kind == SEND),
+            tuple(st for st in steps if st.kind in (RECV_REDUCE, COPY)),
+        ))
+    return Plan(tuple(rounds), tuple(extent.items()), frozenset(written), fold_n)
+
+
+# ----------------------------------------------------------------------
 # The executor
 
 
@@ -878,37 +950,26 @@ def _local_copy(
         staging.free()
 
 
-def execute(comm, schedule: Schedule, operands: dict, datatype: Datatype, op=None) -> None:
-    """Run one rank's *schedule* live.
+def execute(comm, plan: Plan, operands: dict, datatype: Datatype, op=None) -> None:
+    """Run one rank's *plan* live.
 
     *operands* maps ``in``/``out`` to ``(buf, offset, count,
     datatype)``; *datatype*'s base type types the private ``acc``/
     ``tmp`` arrays.  An operand is bound to the user's storage when
     :func:`_flat_or_none` allows it (the zero-copy sends and receives),
     to the list itself for OBJECT, and otherwise to one staging array
-    packed from it — stored back at the end if the schedule wrote it.
+    packed from it — stored back at the end if the plan writes it.
     Whether a rank stages is a local matter: both presentations send
     and receive identical wire traffic.  Each round posts every
     receive, then every send, waits for all of them, then runs its
-    folds and copies in step order.
+    folds and copies in step order.  Steps are posted on the
+    collective context with ``comm._post_recv``/``comm._post_send``
+    (every argument check included) and waited with :func:`_wait_step`, so
+    no MPI-level request is built for a step.
     """
-    rounds = [steps for steps in schedule if steps]
-    extent: dict[str, int] = {}
-    written: set[str] = set()
-    fold_n = 0
-    for steps in rounds:
-        for st in steps:
-            name, lo, n = st.block
-            extent[name] = max(extent.get(name, 0), lo + n)
-            if st.src is not None:
-                extent[st.src[0]] = max(extent.get(st.src[0], 0), st.src[1] + n)
-            if st.kind != SEND:
-                written.add(name)
-            if st.kind == RECV_REDUCE:
-                fold_n = max(fold_n, n)
     views: dict[str, tuple[Any, int, Datatype]] = {}
     staged = []
-    for name, size in extent.items():
+    for name, size in plan.extent:
         if name not in operands:
             basic = _base_datatype(datatype)
             views[name] = (np.empty(size, dtype=basic.base_dtype), 0, basic)
@@ -926,7 +987,7 @@ def execute(comm, schedule: Schedule, operands: dict, datatype: Datatype, op=Non
         stage = np.empty(n, dtype=basic.base_dtype)
         _local_copy(buf, offset, count, dt, stage, 0, n, basic, comm._pool)
         views[name] = (stage, 0, basic)
-        if name in written:
+        if name in plan.written:
             staged.append((stage, n, basic, buf, offset, count, dt))
 
     def at(block):
@@ -942,42 +1003,66 @@ def execute(comm, schedule: Schedule, operands: dict, datatype: Datatype, op=Non
         if out is not dst:
             dst[...] = out
 
+    ctx = comm._context_coll
+
+    def irecv(buf, offset, n, dt, peer, tag):
+        request, landing, dt = comm._post_recv(buf, offset, n, dt, peer, tag, ctx)
+        if isinstance(landing, ArrayRecvWindow):
+            return request, None, None
+        return request, landing, (buf, offset, n, dt)
+
+    def post_fold(st):
+        # A recv_reduce lands in scratch, recycled from *spare* when free.
+        buf, _offset, n, dt = at(st.block)
+        whole = spare.pop() if spare else np.empty(plan.fold_n, dtype=buf.dtype)
+        scratch = whole[:n]
+        return irecv(scratch, 0, n, dt, st.peer, st.tag), scratch
+
     spare: list[np.ndarray] = []
-    for steps in rounds:
-        reqs = [comm._coll_irecv(*at(st.block), st.peer, st.tag) for st in steps if st.kind == RECV]
-        folds = [st for st in steps if st.kind == RECV_REDUCE]
-        inflight = [_post_fold(comm, st, at, spare, fold_n) for st in folds[:FOLD_WINDOW]]
-        reqs += [comm._coll_isend(*at(st.block), st.peer, st.tag) for st in steps if st.kind == SEND]
-        for req in reqs:
-            req.wait()
+    for rnd in plan.rounds:
+        posted = [irecv(*at(st.block), st.peer, st.tag) for st in rnd.recvs]
+        folds = rnd.folds
+        inflight = [post_fold(st) for st in folds[:FOLD_WINDOW]]
+        for st in rnd.sends:
+            request, message = comm._post_send(*at(st.block), st.peer, st.tag, ctx, "standard")
+            posted.append((request, message, None))
+        for request, message, into in posted:
+            _wait_step(comm, request, message, into)
         nfold = 0
-        for st in steps:
+        for st in rnd.local:
             if st.kind == RECV_REDUCE:
-                req, scratch = inflight[nfold]
-                req.wait()
+                (request, message, into), scratch = inflight[nfold]
+                _wait_step(comm, request, message, into)
                 fold(array(st.block), scratch)
                 spare.append(scratch.base)
                 if nfold + FOLD_WINDOW < len(folds):
-                    inflight.append(_post_fold(comm, folds[nfold + FOLD_WINDOW], at, spare, fold_n))
+                    inflight.append(post_fold(folds[nfold + FOLD_WINDOW]))
                 nfold += 1
-            elif st.kind == COPY:
-                if isinstance(views[st.src[0]][0], np.ndarray) and isinstance(views[st.block[0]][0], np.ndarray):
-                    if st.fold:
-                        fold(array(st.block), array(st.src))
-                    else:
-                        array(st.block)[...] = array(st.src)
+            elif isinstance(views[st.src[0]][0], np.ndarray) and isinstance(views[st.block[0]][0], np.ndarray):
+                if st.fold:
+                    fold(array(st.block), array(st.src))
                 else:
-                    sbuf, soff, n, sdt = at(st.src[:2] + (st.block[2],))
-                    dbuf, doff, _n, ddt = at(st.block)
-                    _local_copy(sbuf, soff, n, sdt, dbuf, doff, n, ddt, comm._pool)
+                    array(st.block)[...] = array(st.src)
+            else:
+                sbuf, soff, n, sdt = at(st.src[:2] + (st.block[2],))
+                dbuf, doff, _n, ddt = at(st.block)
+                _local_copy(sbuf, soff, n, sdt, dbuf, doff, n, ddt, comm._pool)
     for stage, n, basic, buf, offset, count, dt in staged:
         _local_copy(stage, 0, n, basic, buf, offset, count, dt, comm._pool)
 
 
-def _post_fold(comm, st: Step, at, spare: list, fold_n: int):
-    """Post one ``recv_reduce`` receive into a scratch array (recycled
-    from *spare* when one is free)."""
-    buf, _offset, n, dt = at(st.block)
-    whole = spare.pop() if spare else np.empty(fold_n, dtype=buf.dtype)
-    scratch = whole[:n]
-    return comm._coll_irecv(scratch, 0, n, dt, st.peer, st.tag), scratch
+def _wait_step(comm, request, message, into) -> None:
+    """Wait for one posted step as a blocking ``Send``/``Recv`` does.
+
+    A failure raises the MPI error ``MPIRequest.wait`` would, after
+    returning the pooled *message*.  A packed receive is unpacked into
+    *into*, its ``(buf, offset, count, datatype)``; a pooled message
+    then goes back to its pool.
+    """
+    comm._reap(request, message)
+    if message is not None:
+        try:
+            if into is not None:
+                into[3].unpack(message, *into[:3])
+        finally:
+            message.free()

@@ -143,30 +143,6 @@ class Comm(AttributeMixin):
             raise InvalidTagError(f"tag must be non-negative, got {tag}")
 
     # ------------------------------------------------------------------
-    # observability (repro.obs)
-
-    def _observe_collective(
-        self, name: str, nbytes: int = 0, algorithm: Optional[str] = None
-    ) -> None:
-        """Count a collective entry in the device's metrics registry.
-
-        When the chosen *algorithm* is known, a second counter labelled
-        with it is bumped (``coll.bcast{algorithm=binomial}``) so traces
-        and bench cells show which path actually ran.
-        """
-        try:
-            metrics = self._devcomm.device.metrics
-        except Exception:  # noqa: BLE001 - device without metrics
-            return
-        if metrics is None or not metrics.enabled:
-            return
-        metrics.counter(f"coll.{name}").inc()
-        if algorithm is not None:
-            metrics.counter(f"coll.{name}", labels={"algorithm": algorithm}).inc()
-        if nbytes:
-            metrics.histogram("coll.bytes").observe(nbytes)
-
-    # ------------------------------------------------------------------
     # packing helpers
 
     def _pack(self, buf: Any, offset: int, count: int, datatype: Optional[Datatype]) -> tuple[Buffer, Datatype]:

@@ -26,15 +26,18 @@ Scan/Exscan      linear chain
 
 Unless a manual override is set with :meth:`set_collective_algorithm`,
 each tunable collective consults the decision table in
-:mod:`repro.mpi.tuning` on every call — keyed on (collective, message
-bytes, communicator size) — and may swap in one of the alternatives
-from :mod:`repro.mpi.algorithms` (Rabenseifner allreduce, pipelined
-trees, binomial gather/scatter, pairwise reduce-scatter, ring
-allgatherv...).  Each method here validates its arguments, describes
-its operands and hands the selected schedule to
-:func:`repro.mpi.algorithms.execute`; contiguous operands ride the
-zero-copy segment datapath (:mod:`repro.buffer.window`) from the
-user's own storage.
+:mod:`repro.mpi.tuning` — keyed on (collective, message bytes,
+communicator size) — and may swap in one of the alternatives from
+:mod:`repro.mpi.algorithms` (Rabenseifner allreduce, pipelined trees,
+binomial gather/scatter, pairwise reduce-scatter, ring allgatherv...).
+Each method here validates its arguments, describes its operands and
+hands them to :meth:`Intracomm._collective`, which runs the plan of
+the selected schedule with :func:`repro.mpi.algorithms.execute`;
+contiguous operands ride the zero-copy segment datapath
+(:mod:`repro.buffer.window`) from the user's own storage.  Selection
+and planning read only the call's shape, so each communicator keeps
+its last :data:`PLAN_CACHE_SIZE` plans and a repeated call of the same
+shape skips both.
 
 Communicator construction (``dup``/``split``/``create``) agrees on new
 context ids with an Allreduce(MAX) over each rank's context counter —
@@ -44,13 +47,14 @@ diverged still converge on identical contexts.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from itertools import accumulate
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi import algorithms
+from repro.mpi import algorithms, tuning
 from repro.mpi import op as ops
 from repro.mpi.algorithms import IN, OUT, _local_copy
 from repro.mpi.comm import (
@@ -64,6 +68,14 @@ from repro.mpi.datatype import BYTE, Datatype, OBJECT, datatype_for
 from repro.mpi.exceptions import CommunicatorError, MPIException
 from repro.mpi.group import Group, UNDEFINED
 from repro.mpi.status import MPIStatus
+
+#: Plans one communicator keeps; the oldest goes first.  A plan is
+#: small (a few steps per round), and a loop calls one shape over and
+#: over, so a few dozen entries cover real programs.
+PLAN_CACHE_SIZE = 32
+
+#: Barrier's schedule reads nothing of its shape.
+_NO_DATA = algorithms.Shape(0, 1)
 
 
 class ContextCounter:
@@ -97,6 +109,9 @@ class Intracomm(Comm):
         #: Per-communicator collective algorithm overrides
         #: (see :mod:`repro.mpi.algorithms`).
         self._algorithms: dict[str, str] = {}
+        #: (collective, nbytes, root, shape, tuning table path) ->
+        #: (plan, instruments), at most PLAN_CACHE_SIZE entries.
+        self._plans: dict[tuple, tuple] = {}
 
     def set_collective_algorithm(self, collective: str, algorithm: str) -> None:
         """Choose the algorithm for one collective on this communicator.
@@ -106,6 +121,7 @@ class Intracomm(Comm):
         """
         algorithms.validate(collective, algorithm)
         self._algorithms[collective] = algorithm
+        self._plans.clear()
 
     def _select_algorithm(self, collective: str, nbytes: int) -> str:
         """Name the algorithm for one collective call.
@@ -115,8 +131,6 @@ class Intracomm(Comm):
         default.  The key (collective, nbytes, size) is identical on
         every rank, so selection is rank-consistent.
         """
-        from repro.mpi import tuning
-
         name = self._algorithms.get(collective)
         if name is None:
             name = tuning.select(collective, nbytes, self.size())
@@ -125,17 +139,40 @@ class Intracomm(Comm):
         return name
 
     def _collective(self, collective, nbytes, root, shape, datatype, operands, op=None) -> None:
-        """Run one tunable collective: select, resolve the preconditions'
-        fallbacks, label the metrics with the algorithm that runs, and
-        execute its schedule."""
-        name = algorithms.resolve(
-            collective, self._select_algorithm(collective, nbytes), self.size(), shape
+        """Run one collective call: count it on the metrics of the
+        algorithm that runs, and execute that algorithm's plan.
+
+        Everything but the operands comes from the plan cache, keyed
+        on what selection and planning read.  The tuning table path is
+        part of the key, so pointing ``REPRO_COLL_TUNING`` elsewhere
+        takes effect on the next call, as an override does (setting one
+        clears the cache).
+        """
+        key = (collective, nbytes, root, shape, os.environ.get(tuning.ENV))
+        entry = self._plans.get(key)
+        if entry is None:
+            entry = self._plan(collective, nbytes, root, shape)
+            if len(self._plans) >= PLAN_CACHE_SIZE:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = entry
+        plan, instruments = entry
+        _tick(instruments, nbytes)
+        algorithms.execute(self, plan, operands, datatype, op)
+
+    def _plan(self, collective, nbytes, root, shape) -> tuple:
+        """Select, resolve the preconditions' fallbacks, and plan the
+        schedule that runs; bind the metrics labelled with its name."""
+        if collective in algorithms.FIXED:
+            name, schedule = algorithms.FIXED[collective]
+        else:
+            name = algorithms.resolve(
+                collective, self._select_algorithm(collective, nbytes), self.size(), shape
+            )
+            schedule = algorithms.REGISTRY[collective][name]
+        plan = algorithms.plan(
+            schedule(self.rank(), self.size(), root, shape, self._select_algorithm)
         )
-        self._observe_collective(collective, nbytes, algorithm=name)
-        schedule = algorithms.REGISTRY[collective][name](
-            self.rank(), self.size(), root, shape, self._select_algorithm
-        )
-        algorithms.execute(self, schedule, operands, datatype, op)
+        return plan, self._coll_instruments(collective, name)
 
     # ==================================================================
     # communicator construction
@@ -296,13 +333,28 @@ class Intracomm(Comm):
         except Exception:  # noqa: BLE001 - observed later as a real error
             return 0
 
-    def _coll_observe(
-        self, name, buf=None, count=0, datatype=None, algorithm=None
-    ) -> None:
+    def _coll_instruments(self, name: str, algorithm: Optional[str] = None) -> tuple:
+        """What one collective call ticks (repro.obs): the
+        ``coll.<name>`` counter, plus ``coll.<name>{algorithm=...}``
+        when the algorithm is known so traces and bench cells show
+        which path actually ran, and the ``coll.bytes`` histogram.  A
+        device without metrics gets no-op instruments."""
+        try:
+            metrics = self._devcomm.device.metrics
+        except Exception:  # noqa: BLE001 - device without metrics
+            metrics = None
+        if metrics is None or not metrics.enabled:
+            from repro.obs.metrics import NullMetrics
+
+            metrics = NullMetrics()
+        counters = [metrics.counter(f"coll.{name}")]
+        if algorithm is not None:
+            counters.append(metrics.counter(f"coll.{name}", labels={"algorithm": algorithm}))
+        return tuple(counters), metrics.histogram("coll.bytes")
+
+    def _coll_observe(self, name, buf=None, count=0, datatype=None) -> None:
         """One metrics tick per collective call (repro.obs)."""
-        self._observe_collective(
-            name, self._coll_nbytes(buf, count, datatype), algorithm=algorithm
-        )
+        _tick(self._coll_instruments(name), self._coll_nbytes(buf, count, datatype))
 
     def _check_vector_args(self, counts, displs=None) -> None:
         """Validate per-rank count/displacement vectors."""
@@ -322,11 +374,7 @@ class Intracomm(Comm):
     def Barrier(self) -> None:
         """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte tokens."""
         self._check_live()
-        self._coll_observe("barrier")
-        schedule = algorithms.barrier_dissemination(
-            self.rank(), self.size(), 0, algorithms.Shape(0, 1), None
-        )
-        algorithms.execute(self, schedule, {}, BYTE)
+        self._collective("barrier", 0, 0, _NO_DATA, BYTE, {})
 
     barrier = Barrier
 
@@ -559,9 +607,8 @@ class Intracomm(Comm):
             recvtype = self._resolve_type(recvbuf, recvtype)
             operands[OUT] = (recvbuf, recvoffset, _span(recvcounts, displs), recvtype)
             shape = _placed(shape, recvcounts, displs, recvtype)
-        algorithms.execute(
-            self, algorithms.gatherv_linear(self.rank(), self.size(), root, shape, None),
-            operands, sendtype,
+        self._collective(
+            "gatherv", sendtype.packed_size(sendcount), root, shape, sendtype, operands
         )
 
     def Scatter(
@@ -604,9 +651,8 @@ class Intracomm(Comm):
             sendtype = self._resolve_type(sendbuf, sendtype)
             operands[IN] = (sendbuf, sendoffset, _span(sendcounts, displs), sendtype)
             shape = _placed(shape, sendcounts, displs, sendtype)
-        algorithms.execute(
-            self, algorithms.scatterv_linear(self.rank(), self.size(), root, shape, None),
-            operands, recvtype,
+        self._collective(
+            "scatterv", recvtype.packed_size(recvcount), root, shape, recvtype, operands
         )
 
     def Allgather(
@@ -797,6 +843,15 @@ class Intracomm(Comm):
             self._coll_send([acc], 0, 1, OBJECT, rank + 1, TAG_SCAN)
         return acc
 
+
+
+def _tick(instruments: tuple, nbytes: int) -> None:
+    """Count one collective call of *nbytes* on *instruments*."""
+    counters, sizes = instruments
+    for counter in counters:
+        counter.inc()
+    if nbytes:
+        sizes.observe(nbytes)
 
 
 def _span(counts: Sequence[int], displs: Sequence[int]) -> int:

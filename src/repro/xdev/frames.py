@@ -129,7 +129,7 @@ def encode_frame(
         segments = payload
     else:
         segments = [payload]
-    plen = sum(len(s) for s in segments)
+    plen = sum(map(len, segments))
     header = HEADER.pack(
         ftype, context, tag, send_id, recv_id, plen, clock, flow_src, flow_seq
     )

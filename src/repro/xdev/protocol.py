@@ -386,7 +386,8 @@ class ProtocolEngine:
             raise XDevException(f"unknown send mode {mode!r}")
         buf.commit()
         segments = buf.segments()
-        wire_len = WIRE_HEADER_SIZE + buf.size
+        size = buf.size
+        wire_len = WIRE_HEADER_SIZE + size
 
         request = self._new_request(Request.SEND, buf)
         request.context, request.tag, request.peer = context, tag, dest
@@ -417,13 +418,13 @@ class ProtocolEngine:
             # segments before write returns (sendmsg, or delivery on
             # this thread), so nothing is staged.
             self._stats["eager_sends"].inc()
-            self._h_eager_bytes.observe(buf.size)
+            self._h_eager_bytes.observe(size)
             lc = self.clock.tick()
             if tracer is not None:
                 request.trace_id = next(self._ids)
                 tracer.emit(
                     "send.post", id=request.trace_id, peer=dest.uid,
-                    tag=tag, ctx=context, size=buf.size, proto="eager", ep=ep,
+                    tag=tag, ctx=context, size=size, proto="eager", ep=ep,
                     lc=lc, fq=flow_seq,
                 )
             self.transport.write(
@@ -439,9 +440,9 @@ class ProtocolEngine:
                 ),
                 route,
             )
-            request.complete(Status(source=self.my_pid, tag=tag, size=buf.size))
+            request.complete(Status(source=self.my_pid, tag=tag, size=size))
             if tracer is not None:
-                tracer.emit("send.complete", id=request.trace_id, size=buf.size)
+                tracer.emit("send.complete", id=request.trace_id, size=size)
             return request
 
         # Fig. 6: lock send-communication-sets / add send request /
@@ -449,14 +450,14 @@ class ProtocolEngine:
         # return pending send request.  Note the two locks are taken
         # sequentially, never nested.
         self._stats["rendezvous_sends"].inc()
-        self._h_rndz_bytes.observe(buf.size)
+        self._h_rndz_bytes.observe(size)
         send_id = next(self._ids)
         request.trace_id = send_id
         lc = self.clock.tick()
         if tracer is not None:
             tracer.emit(
                 "send.post", id=send_id, peer=dest.uid,
-                tag=tag, ctx=context, size=buf.size, proto="rndz", ep=ep,
+                tag=tag, ctx=context, size=size, proto="rndz", ep=ep,
                 lc=lc, fq=flow_seq,
             )
         with self._send_lock:
@@ -465,7 +466,7 @@ class ProtocolEngine:
             # completion fires only after the transport's delivery
             # fence (see the _PendingSend docstring).
             self._pending_sends[send_id] = _PendingSend(  # reprolint: allow[segment-escape] -- MPI send-buffer contract keeps the parked views valid until the delivery fence completes the request
-                request, segments, buf.size, dest
+                request, segments, size, dest
             )
         # The RTS advertises the message payload size in the (otherwise
         # unused) recv_id header field so probes can report an accurate
@@ -484,7 +485,7 @@ class ProtocolEngine:
                     context,
                     tag,
                     send_id=send_id,
-                    recv_id=buf.size,
+                    recv_id=size,
                     clock=lc,
                     flow_src=self.my_pid.uid,
                     flow_seq=flow_seq,
@@ -611,20 +612,21 @@ class ProtocolEngine:
         try:
             payload = msg.payload
             buf.load_wire_segments(payload if isinstance(payload, list) else [payload])
-            self.copy_stats.moved(buf.size)
+            size = buf.size
+            self.copy_stats.moved(size)
         except Exception as exc:
             self._fail_delivery(request, exc)
             return
         finally:
             self._release_message_storage(msg)
-        self._h_recv_bytes.observe(buf.size)
+        self._h_recv_bytes.observe(size)
         request.complete(
-            Status(source=msg.src_pid, tag=msg.tag, size=buf.size, buffer=buf)
+            Status(source=msg.src_pid, tag=msg.tag, size=size, buffer=buf)
         )
         if self.tracer is not None:
             self.tracer.emit(
                 "recv.complete", id=request.trace_id,
-                peer=msg.src_uid, size=buf.size, proto="eager",
+                peer=msg.src_uid, size=size, proto="eager",
                 fs=msg.flow_src, fq=msg.flow_seq, lc=self.clock.value(),
             )
 
@@ -772,7 +774,7 @@ class ProtocolEngine:
         # Actual bytes present, which a fault-injecting wrapper may
         # have truncated below header.payload_len — such frames must
         # take the validating fallback path and fail the request.
-        total = sum(len(s) for s in payload)
+        total = sum(map(len, payload))
         if header.type == FrameType.RNDZ_DATA and total == header.payload_len:
             landing = self.rendezvous_landing(header.recv_id, total)
             if landing is not None:
@@ -848,7 +850,7 @@ class ProtocolEngine:
         # unexpected message.  Returns *owned* back to the caller
         # unless the message keeps it as storage.
         segments = payload if isinstance(payload, list) else [payload]
-        total = sum(len(s) for s in segments)
+        total = sum(map(len, segments))
         if self.tracer is not None:
             self.tracer.emit(
                 "eager.in", peer=src_pid.uid, tag=header.tag,

@@ -80,8 +80,11 @@ class SMTransport(Transport):
         self._closed = False
         #: Deliveries into this rank still running; ``close`` waits for
         #: them, so a finished engine sees no frame after its teardown.
+        #: Each frame counts itself under the plain lock; only ``close``
+        #: needs the condition built on it.
         self._inflight = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         #: Contained per-frame errors of frames delivered to this rank
         #: (diagnostics).
         self.errors: list[Exception] = []
@@ -99,7 +102,7 @@ class SMTransport(Transport):
         # The payload goes by reference straight to its destination.
         engine = self._engine
         if engine is not None:
-            payload_len = sum(len(s) for s in segments) - HEADER_SIZE
+            payload_len = sum(map(len, segments)) - HEADER_SIZE
             if payload_len > 0:
                 engine.copy_stats.moved(payload_len)
         peer._deliver(self._my_pid, segments)
@@ -112,7 +115,7 @@ class SMTransport(Transport):
         A frame for a finished rank is dropped; a corrupt frame costs
         that frame, recorded in this rank's :attr:`errors`.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._inflight += 1
@@ -121,7 +124,7 @@ class SMTransport(Transport):
         except Exception as exc:  # noqa: BLE001
             self.errors.append(exc)
         finally:
-            with self._cond:
+            with self._lock:
                 self._inflight -= 1
                 if self._closed and not self._inflight:
                     self._cond.notify_all()

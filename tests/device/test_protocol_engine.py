@@ -156,22 +156,26 @@ class TestUnexpectedMessages:
 
 class TestRendezvousWriterAblation:
     def test_unforked_writer_still_correct_one_direction(self):
-        """With fork_rendezvous_writer=False the device is still correct
-        for one-directional large traffic (the deadlock only bites on
-        simultaneous bidirectional sends)."""
+        """With fork_rendezvous_writer=False, niodev's input handler
+        writes the data itself: still byte-exact for one-directional
+        large traffic (the deadlock only bites on simultaneous
+        bidirectional sends), and no writer thread is forked.  niodev
+        is the device where the option changes behaviour; smdev never
+        forks a writer."""
         devices, pids = make_job(
-            "smdev", 2, options={"fork_rendezvous_writer": False}
+            "niodev", 2, options={"fork_rendezvous_writer": False}
         )
         try:
-            big = np.arange(100_000, dtype=np.float64)
+            big = np.random.default_rng(7).integers(0, 256, 1 << 20, dtype=np.uint8)
             t = threading.Thread(
                 target=lambda: devices[0].send(send_buffer(big), pids[1], 1, 0)
             )
             t.start()
-            rbuf = Buffer()
+            rbuf = Buffer(capacity=big.nbytes + 64)
             devices[1].recv(rbuf, pids[0], 1, 0)
             t.join(20)
-            np.testing.assert_array_equal(rbuf.read_section(), big)
+            assert not t.is_alive()
+            assert rbuf.read_section().tobytes() == big.tobytes()
             assert devices[0].engine.stats["rendezvous_writer_threads"] == 0
         finally:
             for d in devices:
