@@ -59,8 +59,10 @@ class CopyStats:
     __slots__ = ("_lock", "bytes_copied", "copies", "bytes_moved", "moves",
                  "pool_hits", "pool_misses")
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, lock: threading.Lock | None = None) -> None:
+        #: A metrics registry passes its shared leaf lock, so an owner
+        #: may update the counters inside a critical section of its own.
+        self._lock = lock if lock is not None else threading.Lock()
         self.bytes_copied = 0
         self.copies = 0
         self.bytes_moved = 0
@@ -108,11 +110,11 @@ class CopyStats:
 
 
 def size_class(capacity: int, floor: int = 16) -> int:
-    """The power-of-two size class that serves *capacity* bytes."""
-    bucket = floor
-    while bucket < capacity:
-        bucket *= 2
-    return bucket
+    """The power-of-two size class that serves *capacity* bytes: the
+    smallest ``floor * 2**k`` (k >= 0) that is at least *capacity*."""
+    if capacity <= floor:
+        return floor
+    return floor << ((capacity - 1) // floor).bit_length()
 
 
 class BufferPool:

@@ -17,8 +17,10 @@ array *as* a Buffer:
     ``begin_landing`` returns the scatter list ``[21-byte header
     scratch, user window]``, so every transport lands the payload
     straight in the user array; ``finish_landing`` validates the
-    headers.  The inherited ``load_wire`` / ``load_wire_segments`` take
-    the same route for eager frames.
+    headers.  ``load_wire_segments`` (eager frames) checks an image
+    already cut as ``[headers, payload]`` — what a send window sends —
+    in place and lands its payload with one slice; any other cut takes
+    the landing route.
 
 Both speak the standard buffer wire format byte for byte (one static
 section, empty dynamic section), so a window on one rank interoperates
@@ -43,7 +45,6 @@ from repro.buffer.buffer import (
 from repro.buffer.types import SectionType, dtype_for
 
 _HEADER = struct.Struct("<Bi")  # section type code, element count
-_WIRE_HEADER = struct.Struct("<qq")  # static size, dynamic size
 #: Both headers of a single-section wire image, packed in one call.
 _IMAGE_HEADER = struct.Struct("<qqBi")
 
@@ -182,7 +183,21 @@ class ArrayRecvWindow(Buffer):
         window cannot hold — another element type, more elements than
         posted — raises :class:`ReceiveMismatchError`.
         """
-        static_size, dynamic_size = _WIRE_HEADER.unpack_from(self._head, 0)
+        return self._accept(self._head, nbytes)
+
+    def load_wire_segments(self, segments) -> "ArrayRecvWindow":
+        """Land a wire image given as a segment list (eager frames)."""
+        if len(segments) == 2 and len(segments[0]) == SECTION_OVERHEAD:
+            head, payload = segments
+            n = len(payload)
+            self._accept(head, SECTION_OVERHEAD + n)
+            self._dest[:n] = payload
+            return self
+        return super().load_wire_segments(segments)
+
+    def _accept(self, head, nbytes: int) -> "ArrayRecvWindow":
+        """Validate *head*, an image's 21 header bytes, for *nbytes*."""
+        static_size, dynamic_size, code, count = _IMAGE_HEADER.unpack_from(head)
         if (
             static_size < _HEADER.size
             or dynamic_size < 0
@@ -192,7 +207,6 @@ class ArrayRecvWindow(Buffer):
                 f"wire data is {nbytes} bytes, headers promise "
                 f"{WIRE_HEADER_SIZE} + {static_size} + {dynamic_size}"
             )
-        code, count = _HEADER.unpack_from(self._head, WIRE_HEADER_SIZE)
         if count < 0:
             raise BufferFormatError(f"negative section count {count}")
         if code != int(self._section_type):

@@ -27,13 +27,7 @@ from repro.buffer import Buffer
 from repro.buffer.pool import BufferPool, DEFAULT_POOL
 from repro.buffer.window import ArrayRecvWindow, ArraySendWindow
 from repro.mpi.attributes import AttributeMixin
-from repro.mpi.datatype import (
-    BasicType,
-    Datatype,
-    OBJECT,
-    _IndexPatternType,
-    datatype_for,
-)
+from repro.mpi.datatype import Datatype, OBJECT, datatype_for
 from repro.mpi.exceptions import (
     CommunicatorError,
     InvalidRankError,
@@ -84,6 +78,10 @@ class Comm(AttributeMixin):
         self._pool = pool if pool is not None else DEFAULT_POOL
         self._env = env
         self._freed = False
+        #: Ranks addressable through ``devcomm`` (for an
+        #: intercommunicator, the remote group): the bound every rank
+        #: argument is checked against.
+        self._size = devcomm.size
         #: The device's protocol engine (None on devices without one),
         #: looked up once: the window gate asks for it on every send
         #: and receive.
@@ -130,9 +128,9 @@ class Comm(AttributeMixin):
     def _check_rank(self, rank: int, *, wildcard: bool = False) -> None:
         if wildcard and rank == ANY_SOURCE:
             return
-        if not (0 <= rank < self.size()):
+        if not (0 <= rank < self._size):
             raise InvalidRankError(
-                f"rank {rank} outside communicator of size {self.size()}"
+                f"rank {rank} outside communicator of size {self._size}"
             )
 
     @staticmethod
@@ -230,19 +228,8 @@ class Comm(AttributeMixin):
             return None
         if datatype is None:
             datatype = datatype_for(buf)
-        if datatype.base_dtype is None or datatype.extent != datatype.block_count:
-            return None
-        if isinstance(datatype, BasicType):
-            basic = datatype
-        elif isinstance(datatype, _IndexPatternType):
-            # extent == block_count does not imply contiguity: an
-            # Indexed pattern may permute elements within the extent.
-            if not np.array_equal(
-                datatype.pattern, np.arange(datatype.block_count, dtype=np.intp)
-            ):
-                return None
-            basic = datatype.basic
-        else:
+        section = datatype.window
+        if section is None:
             return None
         base_np = datatype.base_dtype
         base_count = count * datatype.block_count
@@ -266,10 +253,8 @@ class Comm(AttributeMixin):
         except (TypeError, ValueError, BufferError):
             return None
         if writable:
-            return ArrayRecvWindow(
-                view, basic.section_type, base_count, datatype.block_count
-            )
-        return ArraySendWindow(view, basic.section_type, base_count)
+            return ArrayRecvWindow(view, section, base_count, datatype.block_count)
+        return ArraySendWindow(view, section, base_count)
 
     # ------------------------------------------------------------------
     # uppercase point-to-point (array data, mpijava signatures)
@@ -287,9 +272,10 @@ class Comm(AttributeMixin):
     ) -> tuple[DevRequest, Optional[Buffer]]:
         """Validate and start a send: the device request, and the
         pooled message it owns (None when a window sends the array)."""
-        self._check_live()
-        self._check_rank(dest)
-        self._check_tag(tag)
+        if self._freed or not 0 <= dest < self._size or tag < 0:
+            self._check_live()
+            self._check_rank(dest)
+            self._check_tag(tag)
         ctx = self._context_pt2pt if context is None else context
         if mode != "buffered":
             window = self._window(buf, offset, count, datatype, writable=False)
@@ -396,9 +382,10 @@ class Comm(AttributeMixin):
         """Validate and post a receive: the device request, what it
         lands in (an :class:`ArrayRecvWindow` or a pooled message) and
         the resolved datatype."""
-        self._check_live()
-        self._check_rank(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
+        if self._freed or not 0 <= source < self._size or tag < 0:
+            self._check_live()
+            self._check_rank(source, wildcard=True)
+            self._check_tag(tag, wildcard=True)
         if datatype is None:
             if not isinstance(buf, np.ndarray):
                 raise MPIException("datatype may be omitted only for numpy arrays")

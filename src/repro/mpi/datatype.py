@@ -45,6 +45,10 @@ class Datatype(abc.ABC):
     extent: int = 1
     #: number of base elements actually transferred per element.
     block_count: int = 1
+    #: The section type when an element is exactly ``block_count``
+    #: consecutive base elements (a basic type, or an index pattern
+    #: ``0..block_count-1``), else None: the array-window gate's test.
+    window: SectionType | None = None
 
     # ------------------------------------------------------------------
     # core contract
@@ -130,6 +134,7 @@ class BasicType(Datatype):
         self.name = name
         self.extent = 1
         self.block_count = 1
+        self.window = section_type
 
     def pack(self, buf: Buffer, data: Any, offset: int, count: int) -> None:
         flat = _flat(data, self.base_dtype)
@@ -229,6 +234,12 @@ class _IndexPatternType(Datatype):
         self.extent = int(extent)
         self.block_count = int(self.pattern.size)
         self._pattern_max = int(self.pattern.max())
+        # extent == block_count does not imply contiguity: an Indexed
+        # pattern may permute elements within the extent.
+        if self.extent == self.block_count and np.array_equal(
+            self.pattern, np.arange(self.block_count, dtype=np.intp)
+        ):
+            self.window = base.section_type
 
     def _indices(self, offset: int, count: int) -> np.ndarray:
         starts = offset + np.arange(count, dtype=np.intp) * self.extent

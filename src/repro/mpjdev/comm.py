@@ -129,12 +129,15 @@ class MPJDevComm:
         A send's Status names no peer to translate, so a caller that
         only waits for it (a blocking send) needs no RankRequest.
         """
-        engine = getattr(self.device, "engine", None)
-        if mode not in ("standard", "sync") and engine is not None:
-            return engine.isend(buf, self.pid_of(dest), tag, context, mode=mode)
+        pid = self.pid_of(dest)
+        if mode == "standard":
+            return self.device.isend(buf, pid, tag, context)
         if mode == "sync":
-            return self.device.issend(buf, self.pid_of(dest), tag, context)
-        return self.device.isend(buf, self.pid_of(dest), tag, context)
+            return self.device.issend(buf, pid, tag, context)
+        engine = getattr(self.device, "engine", None)
+        if engine is not None:
+            return engine.isend(buf, pid, tag, context, mode=mode)
+        return self.device.isend(buf, pid, tag, context)
 
     def isend(self, buf: Buffer, dest: int, tag: int, context: int, mode: str = "standard") -> RankRequest:
         return RankRequest(self.post_send(buf, dest, tag, context, mode), self)

@@ -15,7 +15,8 @@ channels the paper relies on:
 Every message builds a Request, so it carries no condition variable: a
 plain lock guards the flip, and a thread that actually blocks in
 :meth:`Request.wait` parks on a lock of its own, allocated then —
-what ``threading.Condition.wait`` does internally anyway.
+what ``threading.Condition.wait`` does internally anyway.  A request
+born complete (an eager send) has no lock at all.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class Status:
     cancelled: bool = False
     #: Populated by the MPI layer after unpacking: element count.
     count: int = field(default=0)
-
-    def get_count_bytes(self) -> int:
-        """Size of the received message in bytes."""
-        return self.size
 
 
 class RequestFailedError(Exception):
@@ -111,17 +108,31 @@ class Request:
         kind: str,
         buffer: Any = None,
         hook: Optional[Callable[["Request"], None]] = None,
+        context: int = 0,
+        tag: int = 0,
+        peer: Any = None,
+        endpoint: int = 0,
+        trace_id: int = 0,
+        t_post: float = 0.0,
+        status: Optional[Status] = None,
     ) -> None:
         self.kind = kind
         self.buffer = buffer
-        self._lock = threading.Lock()
+        if status is None:
+            self._lock: Optional[threading.Lock] = threading.Lock()
+            self._done = False
+        else:
+            # Born complete: nobody else can hold the request yet, so
+            # it needs no lock now and never takes one later (every
+            # locked path reads ``_done`` first).
+            self._lock = None
+            self._done = True
+        self._status = status
         #: One parked lock per thread blocked in :meth:`wait`; None
         #: while nobody blocks, which is the common case.
         self._waiters: Optional[list] = None
-        self._status: Optional[Status] = None
         self._exc: Optional[BaseException] = None
-        self._done = False
-        #: The owner's completion hook (the protocol engine's), set
+        #: The owner's completion hook (the engine's peek() offer), set
         #: here so the hot path never takes the listener lock.
         self._hook = hook
         self._listeners: Optional[list[Callable[["Request"], None]]] = None
@@ -130,17 +141,17 @@ class Request:
         self.waitany_ref: Any = None
         # Matching metadata, filled by the protocol engine for
         # diagnostics and ordered matching.
-        self.context: int = 0
-        self.tag: int = 0
-        self.peer: Any = None
+        self.context = context
+        self.tag = tag
+        self.peer = peer
         # Observability (repro.obs): post timestamp for the engine's
         # latency histograms, and the engine-unique id its trace
-        # events pair under.  Zero when instrumentation is off.
-        self.t_post: float = 0.0
-        self.trace_id: int = 0
+        # events pair under.
+        self.t_post = t_post
+        self.trace_id = trace_id
         #: Endpoint of the posting thread (protocol engine); decides
         #: which completion shard this request lands on.
-        self.endpoint: int = 0
+        self.endpoint = endpoint
         self.seqno = next(Request._seq)
 
     # ------------------------------------------------------------------
@@ -150,6 +161,8 @@ class Request:
         self, status: Optional[Status], exc: Optional[BaseException]
     ) -> bool:
         """Flip to done exactly once; False if already done."""
+        if self._done:
+            return False
         with self._lock:
             if self._done:
                 return False
@@ -216,6 +229,9 @@ class Request:
         the calling thread — registration can therefore never miss a
         completion.
         """
+        if self._done:
+            fn(self)
+            return
         with self._lock:
             if not self._done:
                 if self._listeners is None:
@@ -292,13 +308,11 @@ class Request:
 
 
 class CompletedRequest(Request):
-    """A request born complete.
-
-    Eager-protocol sends return one of these ("return a non-pending
-    send request object", paper Fig. 3), as do no-op operations like
-    zero-count sends at the MPI level.
+    """A request born complete, for no-op operations like zero-count
+    sends at the MPI level.  (The engine's eager sends are born complete
+    the same way: "return a non-pending send request object", paper
+    Fig. 3.)
     """
 
     def __init__(self, kind: str = Request.SEND, status: Optional[Status] = None) -> None:
-        super().__init__(kind)
-        self.complete(status if status is not None else Status())
+        super().__init__(kind, status=status if status is not None else Status())

@@ -18,7 +18,7 @@ Backs ``python -m repro.obs merge <dir>``: reads every ``*.jsonl`` the
 
 Clock model: ``wall_t0`` anchors give the coarse alignment, then the
 *causal* edges correct it.  Every message carries a flow id
-``(fs, fq)`` in its frame headers (:mod:`repro.xdev.causal`), stamped
+``(fs, fq)`` in its frame headers (:mod:`repro.xdev.frames`), stamped
 into the trace events, so a send span and the recv span it caused can
 be paired exactly — a true happened-before edge.  From the matched
 pairs the merge estimates per-file clock offsets (NTP-style: with

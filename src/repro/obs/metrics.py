@@ -16,10 +16,12 @@ Design constraints, in order:
   pre-bind instrument references at engine construction, so the
   disabled cost is one no-op method call.  The overhead guard in
   ``tests/obs/test_overhead.py`` compares the two configurations.
-* **Exact when on.** Every instrument takes its own tiny lock around
-  the increment, so counters are deterministic under the torture
-  fixtures' seeded interleavings — a GIL-racy ``+= 1`` would make the
-  "same seed, same counts" assertion flaky by construction.
+* **Exact when on.** Every instrument records under a lock, so
+  counters are deterministic under the torture fixtures' seeded
+  interleavings — a GIL-racy ``+= 1`` would make the "same seed, same
+  counts" assertion flaky by construction.  A registry's histograms
+  and CopyStats share its leaf lock, :attr:`MetricsRegistry.lock`: the
+  protocol engine records a whole message side in one hold of it.
 * **Allocation-free observation.** A histogram observation is one int
   ``bit_length`` and two adds; buckets are a fixed 64-slot list
   (enough for any value below 2**63 — sizes in bytes, latencies in
@@ -33,6 +35,7 @@ import threading
 from typing import Any, Callable, Iterable, Optional
 
 from repro.buffer.pool import CopyStats
+from repro.xdev.locknames import BOOKKEEPING, new_lock
 
 #: Kill switch: ``REPRO_METRICS=0`` (or ``off``/``false``/``no``)
 #: disables instrument recording process-wide (the registry still
@@ -43,6 +46,8 @@ METRICS_ENV = "REPRO_METRICS"
 _FALSEY = frozenset({"0", "off", "false", "no"})
 
 _NBUCKETS = 64
+#: Values from here up share the last bucket.
+_TOP = 1 << (_NBUCKETS - 1)
 
 
 def metrics_enabled() -> bool:
@@ -107,30 +112,32 @@ class Histogram:
 
     __slots__ = ("name", "_lock", "_buckets", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
         self._buckets = [0] * _NBUCKETS
         self._count = 0
         self._sum = 0
-        self._min: Optional[int] = None
+        self._min: float = float("inf")  # reported as 0 until observed
         self._max = 0
 
     def observe(self, value: float) -> None:
+        with self._lock:
+            self.add(value)
+
+    def add(self, value: float) -> None:
+        """:meth:`observe` for a caller already holding the histogram's
+        lock (its registry's :attr:`~MetricsRegistry.lock`)."""
         v = int(value)
         if v < 0:
             v = 0
-        idx = v.bit_length()
-        if idx >= _NBUCKETS:  # pragma: no cover - > 2**63 observation
-            idx = _NBUCKETS - 1
-        with self._lock:
-            self._buckets[idx] += 1
-            self._count += 1
-            self._sum += v
-            if self._min is None or v < self._min:
-                self._min = v
-            if v > self._max:
-                self._max = v
+        self._buckets[v.bit_length() if v < _TOP else _NBUCKETS - 1] += 1
+        self._count += 1
+        self._sum += v
+        if v > self._max:
+            self._max = v
+        if v < self._min:
+            self._min = v
 
     @property
     def count(self) -> int:
@@ -151,7 +158,7 @@ class Histogram:
             return {
                 "count": self._count,
                 "sum": self._sum,
-                "min": self._min if self._min is not None else 0,
+                "min": self._min if self._count else 0,
                 "max": self._max,
                 "buckets": buckets,
             }
@@ -173,6 +180,8 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         pass
+
+    add = observe
 
     def snapshot(self) -> dict[str, Any]:
         return {"count": 0, "sum": 0, "min": 0, "max": 0, "buckets": {}}
@@ -207,6 +216,9 @@ class MetricsRegistry:
     def __init__(self, label: str = "") -> None:
         self.label = label
         self._lock = threading.Lock()
+        #: The leaf lock the histograms and the CopyStats record under
+        #: (see the module docstring).
+        self.lock = new_lock(BOOKKEEPING)
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -214,7 +226,7 @@ class MetricsRegistry:
         #: The device's datapath copy/move accounting — owned here so
         #: trace summaries, bench cells and metrics snapshots all read
         #: the same object (see docs/performance.md).
-        self.copy_stats = CopyStats()
+        self.copy_stats = CopyStats(self.lock)
 
     # -- instrument factories (get-or-create) --------------------------
 
@@ -246,7 +258,7 @@ class MetricsRegistry:
         with self._lock:
             h = self._histograms.get(name)
             if h is None:
-                h = self._histograms[name] = Histogram(name)
+                h = self._histograms[name] = Histogram(name, self.lock)
             return h
 
     def attach(self, name: str, fn: Callable[[], Any]) -> None:

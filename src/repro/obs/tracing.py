@@ -20,7 +20,7 @@ File schema (one JSON object per line):
   stages ``rts.out``/``rts.in``/``rtr.out``/``rtr.in``/``rndz.out``/
   ``rndz.in`` are instants sharing the send/recv span's id.  Since
   schema version 2, protocol events also carry the causal context the
-  frame headers transport (:mod:`repro.xdev.causal`): ``lc`` — the
+  frame headers transport (:mod:`repro.xdev.frames`): ``lc`` — the
   Lamport clock at the event — and ``fs``/``fq`` — the message's flow
   id (origin engine uid, per-engine send sequence).  ``fq`` appears on
   ``send.post`` and on the receive side's arrival/complete events; the

@@ -237,7 +237,7 @@ class ChaosTransport(Transport):
         # if a str ever entered the key.
         #
         # The causal header fields (clock, flow_src, flow_seq — see
-        # repro.xdev.causal) are deliberately EXCLUDED from this key
+        # repro.xdev.frames) are deliberately EXCLUDED from this key
         # and from _next_occurrence's identity: the Lamport clock value
         # depends on thread interleaving, so keying on it would give
         # the same logical frame different fault decisions run to run

@@ -58,6 +58,11 @@ class ProtocolDevice(Device):
             endpoints=options.get("endpoints"),
         )
         transport.start(self._engine)
+        # Every message's two calls go straight to the engine.  These
+        # instance attributes shadow the delegating methods below; a
+        # TracingDevice still wraps the device, not the engine.
+        self.isend = self._engine.isend
+        self.irecv = self._engine.irecv
         return list(self._all_pids)
 
     @property

@@ -78,7 +78,7 @@ class CompletionShards:
         publishes its refs before it re-tests, so a completion that
         reads no ref here is one that re-test sees.
         """
-        if request.waitany_ref is not None or self.watched:
+        if request.waitany_ref is not None or self._waiters:
             self.push(request, request.endpoint)
 
     def _try_pop_latest(self) -> Optional[Request]:

@@ -45,6 +45,7 @@ path exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -79,6 +80,7 @@ def endpoint_count(explicit: int | None = None) -> int:
     return DEFAULT_ENDPOINTS
 
 
+@functools.lru_cache(maxsize=4096)
 def route_of(context: int, tag: int) -> int:
     """Deterministic 31-bit route for a matched-traffic stream.
 
@@ -86,7 +88,8 @@ def route_of(context: int, tag: int) -> int:
     replay, in any process: the property the non-overtaking rule,
     seeded-schedule replays, and ``ANY_SOURCE``-to-one-shard routing
     all lean on.  (Source uids are excluded on purpose; see the module
-    docstring.)
+    docstring.)  Every message asks three times, sender and receiver;
+    a program uses few streams, so the answers are cached.
     """
     h = (context * _MIX_CTX) & _MASK32 ^ (tag * _MIX_TAG) & _MASK32
     h ^= h >> 15

@@ -16,12 +16,14 @@ The source process is identified by the channel a frame arrives on
 does not appear in the header — the same economy the paper's niodev
 gets from its per-peer channels.
 
-The trailing three fields are the *causal context* (see
-:mod:`repro.xdev.causal`): a Lamport clock ticked at every frame send
-and merged at every receipt, plus the message's flow id
-``(flow_src, flow_seq)`` — origin engine uid and per-engine send
-sequence — which every frame of one message carries so the obs layer
-can pair sends to recvs across ranks by a true happened-before edge.
+The trailing three fields are the *causal context*: a Lamport clock
+ticked at every frame send and merged (``max(local, remote) + 1``) at
+every receipt, plus the message's flow id ``(flow_src, flow_seq)`` —
+origin engine uid and per-engine send sequence — which every frame of
+one message carries so the obs layer can pair sends to recvs across
+ranks by a true happened-before edge (:mod:`repro.obs.merge`).  The
+protocol engine keeps both in its bookkeeping critical section; they
+are always on, so a partially traced job still merges its clocks.
 Byte 0 stays the frame type, so transports that peek at it raw
 (procdev's ring dispatch) are unaffected by the header growth.
 

@@ -50,9 +50,15 @@ Rank order (outermost first):
     threads and the poller); held for one non-blocking ``try_push``.
 8.  ``ticker`` — arrival/probe condition variables.
 9.  ``completed`` — completion-shard locks.
-10. ``internal`` — leaf locks private to one object (CopyStats, pool
-    free lists, metric registries, arenas...).  They guard a few
-    statements, never another lock, and are never recorded.
+10. ``internal`` — leaf locks private to one object (pool free lists,
+    metric registries, arenas...).  They guard a few statements and are
+    never recorded; the only lock one may take is ``bookkeeping``.
+11. ``bookkeeping`` — one per metrics registry, so one per device: its
+    histograms, its CopyStats and the protocol engine's counters and
+    Lamport clock.  The engine records each side of a message in one
+    hold.  Innermost of all: taken under a shard lock (an unexpected
+    message is counted as it is stored) or a pool lock (hit/miss), and
+    nothing is ever acquired while it is held.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ PROC_OUT = "proc-out"
 TICKER = "ticker"
 COMPLETED = "completed"
 INTERNAL = "internal"
+BOOKKEEPING = "bookkeeping"
 
 #: Lock class -> rank.  Acquiring class B while holding class A is
 #: legal iff ``HIERARCHY[A] < HIERARCHY[B]`` (or A == B and the class
@@ -86,6 +93,7 @@ HIERARCHY: dict[str, int] = {
     TICKER: 80,
     COMPLETED: 85,
     INTERNAL: 90,
+    BOOKKEEPING: 95,
 }
 
 #: Classes whose members may nest within themselves: shard locks

@@ -57,10 +57,6 @@ class PostedRecv:
     seqno: int = 0
     claimed: bool = False
 
-    @property
-    def key(self) -> Key:
-        return (self.context, self.tag, self.src_uid)
-
 
 @dataclass
 class ArrivedMessage:
@@ -82,7 +78,7 @@ class ArrivedMessage:
     send_id: int = 0  # sender-side request id (rendezvous)
     src_pid: Any = None
     is_rts: bool = False
-    #: Causal flow id from the frame header (repro.xdev.causal);
+    #: Causal flow id from the frame header (repro.xdev.frames);
     #: ``flow_seq == 0`` means the frame carried no flow.
     flow_src: int = 0
     flow_seq: int = 0
@@ -114,6 +110,10 @@ class MessageQueues:
 
     def __init__(self, seq: Optional[itertools.count] = None) -> None:
         self._recvs: dict[Key, deque[PostedRecv]] = {}
+        #: How many of ``_recvs``' keys hold a wildcard (queues are
+        #: never removed).  While none does, an arrival has one key to
+        #: probe, not four.
+        self._wild_keys = 0
         self._msgs: dict[Key, deque[ArrivedMessage]] = {}
         # Sequence numbers order posted receives and arrived messages
         # for the non-overtaking rule.  A ShardedMatcher passes one
@@ -150,17 +150,23 @@ class MessageQueues:
         counters["recvs_posted"] += 1
         if recv.tag == ANY_TAG or recv.src_uid == ANY_SOURCE:
             counters["recvs_wildcard"] += 1
-        key = recv.key
+        key = (recv.context, recv.tag, recv.src_uid)
         q = self._msgs.get(key)
-        if q is not None:
-            _prune(q)
+        if q:
+            while q and q[0].claimed:
+                q.popleft()
             if q:
                 msg = q.popleft()
                 msg.claimed = True
                 counters["recvs_matched_unexpected"] += 1
                 return msg
         recv.seqno = next(self._seq)
-        self._recvs.setdefault(key, deque()).append(recv)
+        q = self._recvs.get(key)
+        if q is None:
+            q = self._recvs[key] = deque()
+            if recv.tag == ANY_TAG or recv.src_uid == ANY_SOURCE:
+                self._wild_keys += 1
+        q.append(recv)
         return None
 
     def arrive(self, msg: ArrivedMessage) -> Optional[PostedRecv]:
@@ -190,19 +196,23 @@ class MessageQueues:
         None.  Does not claim — the caller decides (a ShardedMatcher
         may prefer an even earlier wildcard receive).
         """
+        recvs = self._recvs
+        ctx, tag, src = msg.context, msg.tag, msg.src_uid
         best: Optional[PostedRecv] = None
         best_q: Optional[deque] = None
-        for key in msg.keys():
-            q = self._recvs.get(key)
-            if q is None:
-                continue
-            _prune(q)
-            if q and (best is None or q[0].seqno < best.seqno):
-                best = q[0]
-                best_q = q
+        keys: tuple[Key, ...] = ((ctx, tag, src),)
+        if self._wild_keys:
+            keys += ((ctx, ANY_TAG, src), (ctx, tag, ANY_SOURCE), (ctx, ANY_TAG, ANY_SOURCE))
+        for key in keys:
+            q = recvs.get(key)
+            if q:
+                while q and q[0].claimed:
+                    q.popleft()
+                if q and (best is None or q[0].seqno < best.seqno):
+                    best = q[0]
+                    best_q = q
         if best is None:
             return None
-        assert best_q is not None
         return best_q, best
 
     def store(self, msg: ArrivedMessage) -> None:
@@ -258,10 +268,6 @@ class MessageQueues:
             self.counters["probe_hits"] += 1
             self.counters["claims"] += 1
         return msg
-
-    def take_rendezvous_recv(self, recv: PostedRecv) -> None:
-        """Mark *recv* claimed (it matched an RTS out-of-band)."""
-        recv.claimed = True
 
     # ------------------------------------------------------------------
     # introspection (tests, diagnostics)
@@ -446,7 +452,7 @@ class ShardedMatcher:
         """
         if recv.tag == ANY_TAG:
             return self._post_wildcard(recv)
-        shard = self._shards[self.shard_index(recv.context, recv.tag)]
+        shard = self._shards[route_of(recv.context, recv.tag) % self.nshards]
         with shard.lock:
             return shard.mq.post_recv(recv)
 
@@ -471,10 +477,6 @@ class ShardedMatcher:
             self._wc_count += 1
             return None
 
-    def take_rendezvous_recv(self, recv: PostedRecv) -> None:
-        """Mark *recv* claimed (it matched an RTS out-of-band)."""
-        recv.claimed = True
-
     # ------------------------------------------------------------------
     # arrival side
 
@@ -493,7 +495,7 @@ class ShardedMatcher:
         unexpected payload into stable storage *before* the message
         becomes visible to concurrent receivers on other threads.
         """
-        shard = self._shards[self.shard_index(msg.context, msg.tag)]
+        shard = self._shards[route_of(msg.context, msg.tag) % self.nshards]
         stored = False
         matched: Optional[PostedRecv] = None
         with shard.lock:

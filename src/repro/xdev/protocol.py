@@ -20,6 +20,13 @@ owns five lock classes, each made by :func:`~repro.xdev.locknames.new_lock`:
   (id-addressed state, not part of any matching shard).
 * ``completed`` — the completion shards.
 
+Plus its metrics registry's leaf ``bookkeeping`` lock, which guards
+the counters, the Lamport clock and flow sequence and the histograms.
+Each side of an eager message takes it once: the send to stamp and
+record itself, complete, before the write; the delivery to record the
+move, the receive and its completion before settling the request.  A
+frame's receipt merges the sender's clock in a hold of its own.
+
 **Write serialisation is the transport's**, as in the paper, where the
 per-destination write lock lives inside niodev ("every thread that
 tries to write a message first acquires the associated lock"):
@@ -66,7 +73,7 @@ from repro.buffer.buffer import (
 )
 from repro.buffer.pool import BufferPool, DEFAULT_POOL, RawPool
 from repro.mpjdev.request import Request, Status
-from repro.obs.metrics import Counter, MetricsRegistry, make_registry
+from repro.obs.metrics import MetricsRegistry, make_registry
 from repro.obs.tracing import dump_metrics, writer_for
 from repro.xdev.completion import CompletionShards
 from repro.xdev.endpoints import (
@@ -80,7 +87,6 @@ from repro.xdev.exceptions import (
     DuplicateControlFrameError,
     XDevException,
 )
-from repro.xdev.causal import LamportClock
 from repro.xdev.frames import FrameHeader, FrameType, encode_frame
 from repro.xdev.locknames import RENDEZVOUS_IDS, SEND_SETS, new_lock
 from repro.xdev.matching import ArrivedMessage, PostedRecv, ShardedMatcher
@@ -92,7 +98,9 @@ from repro.xdev.processid import ProcessID
 DEFAULT_EAGER_THRESHOLD = 128 * 1024
 
 #: The engine's protocol event counters, surfaced as ``engine.stats``
-#: and the ``engine`` metrics section.
+#: and the ``engine`` metrics section.  ``completions`` counts requests
+#: settled, failed ones included; an eager send completes as it is
+#: handed to the transport (Fig. 3's non-pending request).
 _STATS = (
     "eager_sends",
     "rendezvous_sends",
@@ -235,6 +243,9 @@ class ProtocolEngine:
         self.trace_label = trace_label
         #: Per-device copy/move accounting (see docs/performance.md).
         self.copy_stats = self.metrics.copy_stats
+        #: The registry's leaf lock: guards the counters, the clock and
+        #: the flow sequence below, the histograms and the CopyStats.
+        self._book_lock = self.metrics.lock
         #: Device-level scratch storage: receive scratch and
         #: unexpected-message storage.
         self.raw_pool = RawPool(stats=self.copy_stats)
@@ -272,34 +283,26 @@ class ProtocolEngine:
         self._send_lock = new_lock(SEND_SETS)
         self._pending_sends: dict[int, _PendingSend] = {}
 
-        # completed-request shards backing peek(), one per endpoint
+        # completed-request shards backing peek(), one per endpoint,
+        # offered every completion by the requests' hook
         self._completions = CompletionShards(self.endpoints)
+        self._on_complete = self._completions.offer
 
         self._ids = itertools.count(1)
         self._finished = False
 
-        #: Causal wire context (repro.xdev.causal): the Lamport clock
-        #: ticked on every frame send and merged on every receipt, and
-        #: the per-engine flow sequence assigned once per user-level
-        #: send (a second locked counter: ``tick()`` issues the next
-        #: flow id, ``value()`` is the number of flows started).
-        #: Always on — headers carry the context whether or not
-        #: tracing is enabled, at the cost of one locked increment per
-        #: frame (no allocation on the REPRO_TRACE-unset fast path).
-        self.clock = LamportClock()
-        self._flow_seq = LamportClock()
+        #: Under ``_book_lock``: the Lamport clock and the last flow id
+        #: issued (see :mod:`repro.xdev.frames`; always on, so also the
+        #: number of flows started), and the protocol event counters —
+        #: frames are delivered on any number of threads, and a bare
+        #: ``+= 1`` would lose updates between its read and its write.
+        self._clock = self._flows = 0
+        self._stats = dict.fromkeys(_STATS, 0)
 
-        #: Protocol event counters (tests, benches, the watchdog's
-        #: progress signal).  Each takes its own tiny lock: frames are
-        #: delivered on any number of threads, and a bare ``+= 1``
-        #: would lose updates between its read and its write.
-        self._stats = {name: Counter(name) for name in _STATS}
-
-        # Observability: hot paths go through pre-bound instruments —
-        # with metrics disabled these are shared no-ops, so the cost
-        # of the instrumentation is one method call.
+        # Observability: pre-bound instruments, recorded with ``add``
+        # inside the engine's holds of ``_book_lock`` (shared no-ops on
+        # the same path when metrics are disabled).
         m = self.metrics
-        self._metrics_on = m.enabled
         self._h_eager_bytes = m.histogram("send.eager_bytes")
         self._h_rndz_bytes = m.histogram("send.rendezvous_bytes")
         self._h_recv_bytes = m.histogram("recv.bytes")
@@ -309,10 +312,8 @@ class ProtocolEngine:
         #: transports through :meth:`observe_lock_wait`; stays at
         #: count 0 on transports that need no lock (smdev).
         self._h_lock_wait = m.histogram("channel_lock.wait_us")
-        m.attach(
-            "engine", lambda: {**self.stats, "flows": self._flow_seq.value()}
-        )
-        m.attach("matching", self._matching_counters)
+        m.attach("engine", lambda: self._book_section(True))
+        m.attach("matching", self._matcher.counters)
         m.attach("queues", self.introspect_queues)
         m.attach("endpoints", self.introspect_endpoints)
         m.attach("raw_pool", lambda: dict(self.raw_pool.stats))
@@ -320,13 +321,7 @@ class ProtocolEngine:
         # every bench cell's embedded metrics block): the final value
         # counts the frames this engine sent or received, and diffing
         # it across ranks bounds how causally chatty the job was.
-        m.attach(
-            "causal",
-            lambda: {
-                "clock": self.clock.value(),
-                "flows": self._flow_seq.value(),
-            },
-        )
+        m.attach("causal", lambda: self._book_section(False))
         #: JSONL trace writer, created when REPRO_TRACE names a
         #: directory — every rank of every launcher/daemon job traces
         #: automatically; finish() flushes the file.
@@ -338,7 +333,55 @@ class ProtocolEngine:
     @property
     def stats(self) -> dict[str, int]:
         """Snapshot of the protocol event counters."""
-        return {name: c.value for name, c in self._stats.items()}
+        with self._book_lock:
+            return dict(self._stats)
+
+    def _book_section(self, counters: bool) -> dict[str, int]:
+        """The ``engine`` (*counters*) or ``causal`` metrics section."""
+        with self._book_lock:
+            if counters:
+                return {**self._stats, "flows": self._flows}
+            return {"clock": self._clock, "flows": self._flows}
+
+    def _tick(self, remote: int = -1) -> int:
+        """Advance the Lamport clock for a frame sent, or fold in the
+        *remote* clock of a frame received; the new value."""
+        with self._book_lock:
+            self._clock = max(self._clock, remote) + 1
+            return self._clock
+
+    def _new_request(self, kind, buf, context=0, tag=0, peer=None, trace_id=0):
+        """A pending request of this thread's endpoint, posted now."""
+        return Request(
+            kind, buf, self._on_complete, context, tag, peer,
+            self._binding.current(), trace_id, time.monotonic(),
+        )
+
+    def _finish(self, request, status, exc=None, moved=0) -> bool:
+        """Settle a published request (False if it already was), first
+        recording its completion, its latency and — for a receive — its
+        bytes (*moved* of them moved into place here) in one hold of the
+        bookkeeping lock.  A failure (*exc*) is a failed delivery."""
+        latency_us = (time.monotonic() - request.t_post) * 1e6
+        with self._book_lock:
+            stats = self._stats
+            stats["completions"] += 1
+            if request.kind == Request.SEND:
+                self._h_send_latency.add(latency_us)
+            else:
+                self._h_recv_latency.add(latency_us)
+                if status is not None:
+                    self._h_recv_bytes.add(status.size)
+            if moved:
+                cs = self.copy_stats
+                cs.bytes_moved += moved
+                cs.moves += 1
+            if exc is not None:
+                stats["failed_deliveries"] += 1
+        if exc is not None:
+            request.fail(exc)
+            return True
+        return request.try_complete(status)
 
     def observe_lock_wait(self, t0: float) -> None:
         """Record a write-lock wait that began at ``time.monotonic()``
@@ -352,23 +395,6 @@ class ProtocolEngine:
         if self._finished:
             raise DeviceFinishedError("device has been finished")
 
-    def _new_request(self, kind: str, buf: Buffer) -> Request:
-        """A request whose completion runs :meth:`_on_complete`."""
-        request = Request(kind, buffer=buf, hook=self._on_complete)
-        if self._metrics_on:
-            request.t_post = time.monotonic()
-        return request
-
-    def _on_complete(self, request: Request) -> None:
-        if self._metrics_on and request.t_post:
-            latency_us = (time.monotonic() - request.t_post) * 1e6
-            if request.kind == Request.SEND:
-                self._h_send_latency.observe(latency_us)
-            else:
-                self._h_recv_latency.observe(latency_us)
-        self._stats["completions"].inc()
-        self._completions.offer(request)
-
     # ------------------------------------------------------------------
     # sends
 
@@ -381,18 +407,16 @@ class ProtocolEngine:
         mode: str = MODE_STANDARD,
     ) -> Request:
         """Non-blocking send in any of the four MPI modes."""
-        self._check_live()
+        t_post = time.monotonic()
+        if self._finished:
+            self._check_live()
         if mode not in _VALID_MODES:
             raise XDevException(f"unknown send mode {mode!r}")
         buf.commit()
         segments = buf.segments()
-        size = buf.size
-        wire_len = WIRE_HEADER_SIZE + size
-
-        request = self._new_request(Request.SEND, buf)
-        request.context, request.tag, request.peer = context, tag, dest
-        ep = self._binding.current()
-        request.endpoint = ep
+        # The wire image is the wire header plus both sections.
+        wire_len = sum(map(len, segments))
+        size = wire_len - WIRE_HEADER_SIZE
         # Content route: every frame of this (context, tag, src) stream
         # lands on the same matching shard, so the non-overtaking rule
         # holds structurally.
@@ -405,25 +429,28 @@ class ProtocolEngine:
         else:
             use_eager = wire_len <= self.eager_threshold
 
-        # Causal context: one flow id per user-level send, carried by
-        # every frame of this message; the clock ticks once per frame
-        # at the moment that frame is built.
-        flow_seq = self._flow_seq.tick()
-
         tracer = self.tracer
         if use_eager:
             # Fig. 3: lock dest channel / send the data / unlock (the
             # transport's write does all three) / return a non-pending
             # send request object.  Every transport consumes the live
             # segments before write returns (sendmsg, or delivery on
-            # this thread), so nothing is staged.
-            self._stats["eager_sends"].inc()
-            self._h_eager_bytes.observe(size)
-            lc = self.clock.tick()
+            # this thread), so nothing is staged.  One bookkeeping hold
+            # takes the causal context (a flow id per user-level send, a
+            # clock tick per frame) and records the send, complete.
+            ep = self._binding.current()
+            trace_id = next(self._ids) if tracer is not None else 0
+            with self._book_lock:
+                lc = self._clock = self._clock + 1
+                flow_seq = self._flows = self._flows + 1
+                stats = self._stats
+                stats["eager_sends"] += 1
+                stats["completions"] += 1
+                self._h_eager_bytes.add(size)
+                self._h_send_latency.add((time.monotonic() - t_post) * 1e6)
             if tracer is not None:
-                request.trace_id = next(self._ids)
                 tracer.emit(
-                    "send.post", id=request.trace_id, peer=dest.uid,
+                    "send.post", id=trace_id, peer=dest.uid,
                     tag=tag, ctx=context, size=size, proto="eager", ep=ep,
                     lc=lc, fq=flow_seq,
                 )
@@ -440,25 +467,33 @@ class ProtocolEngine:
                 ),
                 route,
             )
-            request.complete(Status(source=self.my_pid, tag=tag, size=size))
+            # Born complete, so settled without a lock: nobody else has
+            # seen it.  Offered to a peek() that may be blocked.
+            request = Request(
+                Request.SEND, buf, None, context, tag, dest, ep, trace_id,
+                t_post, Status(source=self.my_pid, tag=tag, size=size),
+            )
+            self._on_complete(request)
             if tracer is not None:
-                tracer.emit("send.complete", id=request.trace_id, size=size)
+                tracer.emit("send.complete", id=trace_id, size=size)
             return request
 
         # Fig. 6: lock send-communication-sets / add send request /
         # unlock / lock dest channel / send ready-to-send / unlock /
         # return pending send request.  Note the two locks are taken
         # sequentially, never nested.
-        self._stats["rendezvous_sends"].inc()
-        self._h_rndz_bytes.observe(size)
         send_id = next(self._ids)
-        request.trace_id = send_id
-        lc = self.clock.tick()
+        request = self._new_request(Request.SEND, buf, context, tag, dest, send_id)
+        with self._book_lock:
+            lc = self._clock = self._clock + 1
+            flow_seq = self._flows = self._flows + 1
+            self._stats["rendezvous_sends"] += 1
+            self._h_rndz_bytes.add(size)
         if tracer is not None:
             tracer.emit(
                 "send.post", id=send_id, peer=dest.uid,
-                tag=tag, ctx=context, size=size, proto="rndz", ep=ep,
-                lc=lc, fq=flow_seq,
+                tag=tag, ctx=context, size=size, proto="rndz",
+                ep=request.endpoint, lc=lc, fq=flow_seq,
             )
         with self._send_lock:
             # The park is the documented zero-copy window: MPI forbids
@@ -516,17 +551,15 @@ class ProtocolEngine:
         self, buf: Buffer, src: ProcessID | int, tag: int, context: int
     ) -> Request:
         """Non-blocking receive; *src* may be ``ANY_SOURCE``."""
-        self._check_live()
+        if self._finished:
+            self._check_live()
         src_uid = src.uid if isinstance(src, ProcessID) else int(src)
-        request = self._new_request(Request.RECV, buf)
-        request.context, request.tag, request.peer = context, tag, src
-        request.endpoint = self._binding.current()
-
-        posted = PostedRecv(request=request, context=context, tag=tag, src_uid=src_uid)
-
         tracer = self.tracer
+        request = self._new_request(
+            Request.RECV, buf, context, tag, src,
+            next(self._ids) if tracer is not None else 0,
+        )
         if tracer is not None:
-            request.trace_id = next(self._ids)
             tracer.emit(
                 "recv.post", id=request.trace_id, peer=src_uid, tag=tag,
                 ctx=context, ep=request.endpoint,
@@ -534,7 +567,7 @@ class ProtocolEngine:
 
         # Figs 4 and 7: match-or-add under the receive's shard lock
         # (or the all-shard wildcard path).
-        msg = self._matcher.post_recv(posted)
+        msg = self._matcher.post_recv(PostedRecv(request, context, tag, src_uid))
         if msg is None:
             return request
         if msg.is_rts:
@@ -575,7 +608,7 @@ class ProtocolEngine:
         # sender's RNDZ_DATA can carry it without parking flow state
         # in the pending-send set.  Stamped before the write, like
         # ``rts.out``: an inline transport runs the reply chain first.
-        lc = self.clock.tick()
+        lc = self._tick()
         if self.tracer is not None:
             self.tracer.emit(
                 "rtr.out", id=trace_id, peer=rts.src_uid,
@@ -612,22 +645,24 @@ class ProtocolEngine:
         try:
             payload = msg.payload
             buf.load_wire_segments(payload if isinstance(payload, list) else [payload])
-            size = buf.size
-            self.copy_stats.moved(size)
         except Exception as exc:
             self._fail_delivery(request, exc)
             return
         finally:
-            self._release_message_storage(msg)
-        self._h_recv_bytes.observe(size)
-        request.complete(
-            Status(source=msg.src_pid, tag=msg.tag, size=size, buffer=buf)
+            if msg.storage is not None:
+                self._release_message_storage(msg)
+        # The landing checked the image: its payload is the message size.
+        size = msg.size
+        self._finish(
+            request,
+            Status(source=msg.src_pid, tag=msg.tag, size=size, buffer=buf),
+            moved=size,
         )
         if self.tracer is not None:
             self.tracer.emit(
                 "recv.complete", id=request.trace_id,
                 peer=msg.src_uid, size=size, proto="eager",
-                fs=msg.flow_src, fq=msg.flow_seq, lc=self.clock.value(),
+                fs=msg.flow_src, fq=msg.flow_seq, lc=self._clock,
             )
 
     def _fail_delivery(self, request: Request, exc: Exception) -> None:
@@ -640,16 +675,15 @@ class ProtocolEngine:
         corrupt wire data and is re-raised, so the transport records
         the frame-level fault.
         """
-        self._stats["failed_deliveries"].inc()
         if self.tracer is not None:
             self.tracer.emit("recv.fail", id=request.trace_id)
         if isinstance(exc, ReceiveMismatchError):
             # The request keeps the error for its waiter; its traceback
             # would keep this delivery's frames, and with them views of
             # transport memory (procdev's shared rings), alive too.
-            request.fail(exc.with_traceback(None))
+            self._finish(request, None, exc.with_traceback(None))
             return
-        request.fail(exc)
+        self._finish(request, None, exc)
         raise exc
 
     def _release_message_storage(self, msg: ArrivedMessage) -> None:
@@ -716,16 +750,15 @@ class ProtocolEngine:
         """Receive a message claimed by :meth:`improbe`/:meth:`mprobe`."""
         self._check_live()
         msg = match.consume()
-        request = self._new_request(Request.RECV, buf)
-        request.context, request.tag = msg.context, msg.tag
-        request.peer = msg.src_pid
-        request.endpoint = self._binding.current()
-        if self.tracer is not None:
-            request.trace_id = next(self._ids)
-            tracer_ep = request.endpoint
-            self.tracer.emit(
+        tracer = self.tracer
+        request = self._new_request(
+            Request.RECV, buf, msg.context, msg.tag, msg.src_pid,
+            next(self._ids) if tracer is not None else 0,
+        )
+        if tracer is not None:
+            tracer.emit(
                 "recv.post", id=request.trace_id, peer=msg.src_uid,
-                tag=msg.tag, ctx=msg.context, ep=tracer_ep, matched=True,
+                tag=msg.tag, ctx=msg.context, ep=request.endpoint, matched=True,
             )
         if msg.is_rts:
             recv_id = self._register_rendezvous_recv(request, msg)
@@ -766,8 +799,9 @@ class ProtocolEngine:
         segments are consumed before this returns.
         """
         header = FrameHeader.decode(segments[0])
-        if header.type == FrameType.RTR:
-            lc = self.clock.merge(header.clock)
+        ftype = header.type
+        if ftype == FrameType.RTR:
+            lc = self._tick(header.clock)
             self._handle_rtr(src_pid, header, lc=lc, fork=False)
             return
         payload = segments[1:]
@@ -775,7 +809,7 @@ class ProtocolEngine:
         # have truncated below header.payload_len — such frames must
         # take the validating fallback path and fail the request.
         total = sum(map(len, payload))
-        if header.type == FrameType.RNDZ_DATA and total == header.payload_len:
+        if ftype == FrameType.RNDZ_DATA and total == header.payload_len:
             landing = self.rendezvous_landing(header.recv_id, total)
             if landing is not None:
                 self.copy_stats.moved(copy_segments(landing, payload))
@@ -816,7 +850,7 @@ class ProtocolEngine:
         # Causal receipt: fold the sender's Lamport clock in before any
         # handler runs, so every event this frame causes is stamped
         # after every event that preceded its send.
-        lc = self.clock.merge(header.clock)
+        lc = self._tick(header.clock)
         ftype = header.type
         try:
             if ftype == FrameType.EAGER:
@@ -850,66 +884,64 @@ class ProtocolEngine:
         # unexpected message.  Returns *owned* back to the caller
         # unless the message keeps it as storage.
         segments = payload if isinstance(payload, list) else [payload]
-        total = sum(map(len, segments))
+        # Payload size excluding the buffer wire header, so probe
+        # counts match what recv reports.
+        size = max(0, sum(map(len, segments)) - WIRE_HEADER_SIZE)
         if self.tracer is not None:
             self.tracer.emit(
                 "eager.in", peer=src_pid.uid, tag=header.tag,
-                ctx=header.context, size=max(0, total - WIRE_HEADER_SIZE),
+                ctx=header.context, size=size,
                 lc=lc, fs=header.flow_src, fq=header.flow_seq,
             )
         msg = ArrivedMessage(
             context=header.context,
             tag=header.tag,
             src_uid=src_pid.uid,
-            # Payload size excluding the buffer wire header, so
-            # probe counts match what recv reports.
-            size=max(0, total - WIRE_HEADER_SIZE),
-            payload=None,
+            size=size,
+            payload=segments,
+            storage=owned,
             src_pid=src_pid,
             flow_src=header.flow_src,
             flow_seq=header.flow_seq,
         )
-        adopted = owned
+        matched = self._matcher.arrive(msg, self._store_unexpected)
+        if matched is None:
+            return None  # stored: the message owns any scratch now
+        # Delivered outside the shard lock, straight from the
+        # transport's segments — no intermediate copy.
+        msg.storage = None
+        self._deliver(matched.request, matched.request.buffer, msg)
+        return owned
 
-        def stage_unexpected(m: ArrivedMessage) -> None:
-            # Runs under the shard lock, just before the message is
-            # indexed: once another thread can see it, its payload must
-            # already be stable.
-            nonlocal adopted
-            self._stats["unexpected_messages"].inc()
-            if owned is not None:
-                # Adopt the transport's scratch as the unexpected
-                # message's storage — no second copy.
-                m.payload = segments
-                m.storage = owned
-                adopted = None
-            else:
-                # The frame's memory belongs to the sender or the
-                # transport (it is reclaimed once this handler
-                # returns): stage the
-                # unexpected payload into stable pooled scratch.  This
-                # is the eager protocol's "device level memory"
-                # (Section IV-A.1), and the one copy an unmatched
-                # eager message costs.
-                stored = self.raw_pool.acquire(total)
-                try:
-                    copy_segments([memoryview(stored)[:total]], segments)
-                except BaseException:
-                    # Gather failed under the shard lock: return the
-                    # scratch before the arrive() unwinds.
-                    self.raw_pool.release(stored)
-                    raise
-                self.copy_stats.copied(total)
-                m.payload = [memoryview(stored)[:total]]
-                m.storage = stored
+    def _store_unexpected(self, msg: ArrivedMessage) -> None:
+        """Count an unexpected message and make its payload stable.
 
-        matched = self._matcher.arrive(msg, on_store=stage_unexpected)
-        if matched is not None:
-            # Delivered outside the shard lock, straight from the
-            # transport's segments — no intermediate copy.
-            msg.payload = segments
-            self._deliver(matched.request, matched.request.buffer, msg)
-        return adopted
+        Runs under the shard lock, just before the message is indexed:
+        once another thread can see it, its payload must not change.
+        """
+        with self._book_lock:
+            self._stats["unexpected_messages"] += 1
+        if msg.is_rts or msg.storage is not None:
+            # An RTS has no payload; transport scratch (``owned``) is
+            # adopted as the message's storage — no second copy.
+            return
+        # The frame's memory belongs to the sender or the transport (it
+        # is reclaimed once the handler returns): stage the unexpected
+        # payload into stable pooled scratch.  This is the eager
+        # protocol's "device level memory" (Section IV-A.1), and the
+        # one copy an unmatched eager message costs.
+        total = sum(map(len, msg.payload))
+        stored = self.raw_pool.acquire(total)
+        try:
+            copy_segments([memoryview(stored)[:total]], msg.payload)
+        except BaseException:
+            # Gather failed under the shard lock: return the scratch
+            # before the arrive() unwinds.
+            self.raw_pool.release(stored)
+            raise
+        self.copy_stats.copied(total)
+        msg.payload = [memoryview(stored)[:total]]
+        msg.storage = stored
 
     def _handle_rts(
         self, src_pid: ProcessID, header: FrameHeader, lc: int = 0
@@ -921,7 +953,8 @@ class ProtocolEngine:
         rts_key = (src_pid.uid, header.send_id)
         with self._rndz_lock:
             if rts_key in self._active_rts:
-                self._stats["duplicate_control_frames"].inc()
+                with self._book_lock:
+                    self._stats["duplicate_control_frames"] += 1
                 raise DuplicateControlFrameError(
                     f"duplicate RTS send_id={header.send_id} from {src_pid}"
                 )
@@ -939,10 +972,7 @@ class ProtocolEngine:
             flow_seq=header.flow_seq,
         )
 
-        def count_unexpected(m: ArrivedMessage) -> None:
-            self._stats["unexpected_messages"].inc()
-
-        matched = self._matcher.arrive(msg, on_store=count_unexpected)
+        matched = self._matcher.arrive(msg, self._store_unexpected)
         recv_id = 0
         if matched is not None:
             recv_id = self._register_rendezvous_recv(matched.request, msg)
@@ -970,7 +1000,8 @@ class ProtocolEngine:
             # Either corruption or a duplicated RTR — the first RTR
             # already consumed the pending send, so answering again
             # would complete the request twice.  Reject loudly.
-            self._stats["duplicate_control_frames"].inc()
+            with self._book_lock:
+                self._stats["duplicate_control_frames"] += 1
             raise DuplicateControlFrameError(
                 f"RTR for unknown send id {header.send_id} from {src_pid}"
                 " (duplicate or corrupt ready-to-recv)"
@@ -987,7 +1018,12 @@ class ProtocolEngine:
         def on_delivered() -> None:
             # The transport no longer references the user's buffer
             # memory; the MPI contract now lets the sender reuse it.
-            if pending.request.try_complete(status) and tracer is not None:
+            request = pending.request
+            if (
+                not request.done
+                and self._finish(request, status)
+                and tracer is not None
+            ):
                 tracer.emit(
                     "send.complete", id=header.send_id, size=pending.size
                 )
@@ -997,7 +1033,7 @@ class ProtocolEngine:
             # once the live segment views have been consumed.  The data
             # frame inherits the flow id the RTR echoed back, so all
             # four frames of one rendezvous share one flow.
-            data_lc = self.clock.tick()
+            data_lc = self._tick()
             if tracer is not None:
                 tracer.emit(
                     "rndz.out", id=header.send_id, size=pending.size,
@@ -1022,7 +1058,8 @@ class ProtocolEngine:
             )
 
         if fork and self.fork_rendezvous_writer:
-            self._stats["rendezvous_writer_threads"].inc()
+            with self._book_lock:
+                self._stats["rendezvous_writer_threads"] += 1
             threading.Thread(
                 target=rendez_write, name="rendez-write-thread", daemon=True
             ).start()
@@ -1078,28 +1115,31 @@ class ProtocolEngine:
                 peer=src_pid.uid, size=header.payload_len,
                 lc=lc, fs=flow_src, fq=flow_seq,
             )
+        buf = request.buffer
         try:
             if in_place:
                 # The transport landed the wire image in the posted
-                # buffer's storage already; adopt it without copying.
-                request.buffer.finish_landing(header.payload_len)
+                # buffer's storage already (and counted the move);
+                # adopt it without copying.
+                buf.finish_landing(header.payload_len)
             else:
-                request.buffer.load_wire_segments(
+                buf.load_wire_segments(
                     payload if isinstance(payload, list) else [payload]
                 )
-                self.copy_stats.moved(request.buffer.size)
         except Exception as exc:
             self._fail_delivery(request, exc)
             return
-        self._h_recv_bytes.observe(request.buffer.size)
-        request.complete(
-            Status(source=peer, tag=tag, size=request.buffer.size, buffer=request.buffer)
+        size = buf.size
+        self._finish(
+            request,
+            Status(source=peer, tag=tag, size=size, buffer=buf),
+            moved=0 if in_place else size,
         )
         if self.tracer is not None:
             self.tracer.emit(
                 "recv.complete", id=request.trace_id,
-                peer=src_pid.uid, size=request.buffer.size, proto="rndz",
-                fs=flow_src, fq=flow_seq, lc=self.clock.value(),
+                peer=src_pid.uid, size=size, proto="rndz",
+                fs=flow_src, fq=flow_seq, lc=self._clock,
             )
 
     # ------------------------------------------------------------------
@@ -1147,9 +1187,6 @@ class ProtocolEngine:
         """Rendezvous receives awaiting their data frame."""
         with self._rndz_lock:
             return len(self._rendezvous_recvs)
-
-    def _matching_counters(self) -> dict[str, int]:
-        return self._matcher.counters()
 
     def introspect_queues(self) -> dict[str, int]:
         """Live queue depths (the paper's communication sets)."""

@@ -25,7 +25,7 @@ whichever thread delivers them.
 
 from __future__ import annotations
 
-import threading
+import time
 
 from repro.xdev.base import ProtocolDevice
 from repro.xdev.device import DeviceConfig, register_device
@@ -78,13 +78,13 @@ class SMTransport(Transport):
         self._my_pid = fabric.pids[rank]
         self._engine: ProtocolEngine | None = None
         self._closed = False
-        #: Deliveries into this rank still running; ``close`` waits for
-        #: them, so a finished engine sees no frame after its teardown.
-        #: Each frame counts itself under the plain lock; only ``close``
-        #: needs the condition built on it.
-        self._inflight = 0
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        #: One entry per delivery into this rank still running; ``close``
+        #: waits for it to empty, so a finished engine sees no frame
+        #: after its teardown.  ``list.append``/``pop`` are atomic, so a
+        #: frame counts itself without a lock: a delivery appends, then
+        #: reads ``_closed``; ``close`` sets ``_closed``, then reads the
+        #: list — whichever comes second sees the other.
+        self._inflight: list[None] = []
         #: Contained per-frame errors of frames delivered to this rank
         #: (diagnostics).
         self.errors: list[Exception] = []
@@ -96,7 +96,8 @@ class SMTransport(Transport):
     def write(self, dest: ProcessID, segments, route: int = 0, on_delivered=None) -> None:
         if self._closed:
             raise XDevException("transport closed")
-        peer = self._fabric.transports[self._fabric.rank_of(dest)]
+        fabric = self._fabric
+        peer = fabric.transports[fabric.rank_of(dest)]
         if peer is None:
             raise XDevException(f"{dest} has not started")
         # The payload goes by reference straight to its destination.
@@ -115,27 +116,24 @@ class SMTransport(Transport):
         A frame for a finished rank is dropped; a corrupt frame costs
         that frame, recorded in this rank's :attr:`errors`.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._inflight += 1
+        inflight = self._inflight
+        inflight.append(None)
         try:
-            self._engine.deliver_segments(src_pid, segments)
+            if not self._closed:
+                self._engine.deliver_segments(src_pid, segments)
         except Exception as exc:  # noqa: BLE001
             self.errors.append(exc)
         finally:
-            with self._lock:
-                self._inflight -= 1
-                if self._closed and not self._inflight:
-                    self._cond.notify_all()
+            inflight.pop()
 
     def introspect(self) -> dict:
         return {"frame_errors": len(self.errors)}
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.wait_for(lambda: not self._inflight, timeout=5)
+        self._closed = True
+        deadline = time.monotonic() + 5
+        while self._inflight and time.monotonic() < deadline:
+            time.sleep(0.001)
 
 
 @register_device("smdev")

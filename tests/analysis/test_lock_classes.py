@@ -28,6 +28,7 @@ def test_src_classes_are_read_from_the_factory_calls():
         ("repro.xdev.niodev", "_cache_lock"): locknames.CONN_CACHE,
         ("repro.xdev.niodev", "write_lock"): locknames.CHANNEL,
         ("repro.xdev.procdev", "_out_locks"): locknames.PROC_OUT,
+        ("repro.obs.metrics", "lock"): locknames.BOOKKEEPING,
     }
 
 

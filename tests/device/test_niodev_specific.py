@@ -117,7 +117,7 @@ class TestWireBehaviour:
         devices, _pids = make_job("niodev", 1)
         try:
             # Frame header: 33 base bytes + 20 of causal context
-            # (Lamport clock + flow id, see repro.xdev.causal).
+            # (Lamport clock + flow id, see repro.xdev.frames).
             assert devices[0].get_send_overhead() == 53
         finally:
             devices[0].finish()

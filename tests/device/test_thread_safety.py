@@ -13,6 +13,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from repro import mpi
 from repro.buffer import Buffer
@@ -221,6 +222,51 @@ class TestSimultaneousLargeMessages:
             options={"fork_rendezvous_writer": False}, timeout=60,
         )
         assert results == [True, True]
+
+    @pytest.mark.parametrize(
+        "device, nbytes",
+        [
+            ("niodev", 1 << 20),
+            pytest.param(
+                "niodev", 16 << 20,
+                marks=pytest.mark.skip(
+                    reason="deadlocks, as Fig. 8 warns: both input handlers "
+                    "block in sendmsg with neither reading, and a hung job "
+                    "leaks them (finish() cannot wake them)"
+                ),
+            ),
+            ("procdev", 1 << 20),
+            ("procdev", 16 << 20),
+        ],
+        ids=["niodev-1MiB", "niodev-16MiB", "procdev-1MiB", "procdev-16MiB"],
+    )
+    def test_sendrecv_without_writer_threads(self, device, nbytes):
+        """The same exchange on the devices where the ablation changes
+        behaviour: each rank's RTR is answered on the thread that reads
+        it (niodev's input handler, procdev's poller), which writes the
+        whole payload itself while the peer's data is due on the same
+        connection.  procdev completes at both sizes; niodev's input
+        handlers complete only while the socket buffers hold the payload
+        (1 MiB did, 4 MiB did not, on a Linux host with default buffer
+        limits)."""
+        n = nbytes // 8
+
+        def main(env):
+            comm = env.COMM_WORLD
+            peer = 1 - comm.rank()
+            out = np.full(n, comm.rank(), dtype=np.float64)
+            incoming = np.empty(n, dtype=np.float64)
+            comm.Sendrecv(
+                out, 0, n, mpi.DOUBLE, peer, 4, incoming, 0, n, mpi.DOUBLE, peer, 4
+            )
+            stats = comm._devcomm.device.engine.stats
+            return bool((incoming == peer).all()), stats["rendezvous_writer_threads"]
+
+        results = run_spmd(
+            main, 2, device=device,
+            options={"fork_rendezvous_writer": False}, timeout=60,
+        )
+        assert results == [(True, 0), (True, 0)]
 
 
 class TestExactCounters:

@@ -23,6 +23,7 @@ ENGINE_CLASSES = {
     locknames.RENDEZVOUS_IDS,
     locknames.TICKER,
     locknames.COMPLETED,
+    locknames.BOOKKEEPING,
 }
 #: Every classed lock each device's stack makes, by lock class.
 CLASSES_BY_DEVICE = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer, BufferPool
+from repro.buffer.pool import size_class
 
 
 class TestAcquireRelease:
@@ -82,3 +83,22 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert pool.stats["acquired"] == 1600
+
+
+class TestSizeClass:
+    @staticmethod
+    def doubling(capacity, floor=16):
+        """The definition: double the floor until it holds *capacity*."""
+        bucket = floor
+        while bucket < capacity:
+            bucket *= 2
+        return bucket
+
+    def test_matches_doubling_for_every_capacity_to_64k(self):
+        for capacity in range(0, (1 << 16) + 1):
+            assert size_class(capacity) == self.doubling(capacity), capacity
+
+    @pytest.mark.parametrize("floor", [1, 3, 64])
+    def test_other_floors(self, floor):
+        for capacity in range(0, 5000):
+            assert size_class(capacity, floor) == self.doubling(capacity, floor)
