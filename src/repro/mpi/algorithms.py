@@ -23,6 +23,11 @@ Scatter         linear                       binomial tree
 Reduce_scatter  Reduce + Scatterv            pairwise exchange
 ==============  ===========================  =================================
 
+Barrier (dissemination), Gatherv and Scatterv (linear), Alltoall and
+Alltoallv (one round of p-1 exchanges) and Scan/Exscan (a linear
+chain) have one algorithm each (:data:`FIXED`): the same executor runs
+them, but nothing selects among them.
+
 Select manually with ``comm.set_collective_algorithm("bcast", "linear")``;
 without an override the decision table in :mod:`repro.mpi.tuning` picks
 by message size and communicator size.
@@ -63,10 +68,12 @@ import numpy as np
 from repro.buffer.window import ArrayRecvWindow
 from repro.mpi.comm import (
     TAG_ALLGATHER,
+    TAG_ALLTOALL,
     TAG_BARRIER,
     TAG_BCAST,
     TAG_GATHER,
     TAG_REDUCE,
+    TAG_SCAN,
     TAG_SCATTER,
 )
 from repro.mpi.datatype import _BY_DTYPE, Datatype, _IndexPatternType
@@ -123,11 +130,12 @@ class Shape:
     """The facts a schedule may read.
 
     *base* is the operand length in base elements — one rank's block
-    for gather, scatter and allgather.  *itemsize* is 0 for a
+    for gather, scatter, allgather and alltoall.  *itemsize* is 0 for a
     non-primitive (OBJECT) type, whose list items are its base
     elements.  *counts*/*displs* are per-rank blocks in base elements
     for the vector variants (a plain Gatherv/Scatterv leaves them to
-    the root, the one rank that reads them).
+    the root, the one rank that reads them); for Alltoallv they are
+    the blocks received, and *scounts*/*sdispls* the blocks sent.
     """
 
     base: int
@@ -137,6 +145,8 @@ class Shape:
     splits: bool = True
     counts: Optional[tuple[int, ...]] = None
     displs: Optional[tuple[int, ...]] = None
+    scounts: Optional[tuple[int, ...]] = None
+    sdispls: Optional[tuple[int, ...]] = None
 
     @classmethod
     def of(cls, count: int, datatype: Datatype, op=None) -> "Shape":
@@ -691,6 +701,64 @@ def scatter_binomial(rank, size, root, shape, select):
 
 
 # ----------------------------------------------------------------------
+# Alltoall / Alltoallv
+
+
+def alltoallv_linear(rank, size, root, shape, select):
+    """One round: receive a block from and send a block to every other
+    rank, and copy the own block locally."""
+    counts, displs, scounts, sdispls = shape.counts, shape.displs, shape.scounts, shape.sdispls
+    steps = [copy((IN, sdispls[rank], scounts[rank]), (OUT, displs[rank], counts[rank]))]
+    for r in range(size):
+        if r != rank:
+            steps.append(recv(r, (OUT, displs[r], counts[r]), TAG_ALLTOALL))
+            steps.append(send(r, (IN, sdispls[r], scounts[r]), TAG_ALLTOALL))
+    return [steps]
+
+
+def alltoall_linear(rank, size, root, shape, select):
+    """Alltoallv with every block *shape.base* long."""
+    blocks = _blocks(shape, size)
+    blocks = replace(blocks, scounts=blocks.counts, sdispls=blocks.displs)
+    return alltoallv_linear(rank, size, root, blocks, select)
+
+
+# ----------------------------------------------------------------------
+# Scan / Exscan: a chain of p-1 rounds; in round k, rank k passes the
+# prefix of ranks 0..k on to rank k+1.
+
+
+def scan_linear(rank, size, root, shape, select):
+    """Inclusive prefix: rank r>0 receives the prefix of ranks 0..r-1
+    into ``out`` and folds its own operand after it, in rank order."""
+    mine, whole = (IN, 0, shape.base), (OUT, 0, shape.base)
+    rounds = [[] for _ in range(size - 1)]
+    if rank:
+        rounds[rank - 1] += [recv(rank - 1, whole, TAG_SCAN), copy(mine, whole, fold=True)]
+    if rank < size - 1:
+        rounds[rank].append(send(rank + 1, whole if rank else mine, TAG_SCAN))
+    if not rank:
+        _then(rounds, copy(mine, whole))
+    return rounds
+
+
+def exscan_linear(rank, size, root, shape, select):
+    """Exclusive prefix: rank r>0 receives the prefix of ranks 0..r-1
+    into ``out`` and sends prefix ⊕ own, built in ``acc``, on.  Rank 0
+    sends its operand and never names ``out``, so its receive buffer
+    stays untouched."""
+    mine, whole, acc = (IN, 0, shape.base), (OUT, 0, shape.base), (ACC, 0, shape.base)
+    rounds = [[] for _ in range(size - 1)]
+    if rank:
+        rounds[rank - 1].append(recv(rank - 1, whole, TAG_SCAN))
+    if rank < size - 1:
+        if rank:
+            rounds[rank - 1] += [copy(whole, acc), copy(mine, acc, fold=True)]
+        rounds[rank].append(send(rank + 1, acc if rank else mine, TAG_SCAN))
+    return rounds
+
+
+# ----------------------------------------------------------------------
 # Reduce_scatter variants
 
 
@@ -768,6 +836,10 @@ FIXED: dict[str, tuple[str, Callable[..., Schedule]]] = {
     "barrier": ("dissemination", barrier_dissemination),
     "gatherv": ("linear", gatherv_linear),
     "scatterv": ("linear", scatterv_linear),
+    "alltoall": ("linear", alltoall_linear),
+    "alltoallv": ("linear", alltoallv_linear),
+    "scan": ("linear", scan_linear),
+    "exscan": ("linear", exscan_linear),
 }
 
 #: The built-in default algorithm name per collective.

@@ -115,8 +115,12 @@ class Comm(AttributeMixin):
         return (self._context_pt2pt, self._context_coll)
 
     def free(self) -> None:
-        """Invalidate the communicator (MPI_Comm_free)."""
+        """Invalidate the communicator (MPI_Comm_free); its
+        non-blocking collective worker, if any, exits once idle."""
         self._freed = True
+        worker = getattr(self, "_nbc_worker", None)
+        if worker is not None:
+            worker.close()
 
     def _check_live(self) -> None:
         if self._freed:
@@ -267,7 +271,7 @@ class Comm(AttributeMixin):
         datatype: Optional[Datatype],
         dest: int,
         tag: int,
-        context: Optional[int],
+        context: int,
         mode: str,
     ) -> tuple[DevRequest, Optional[Buffer]]:
         """Validate and start a send: the device request, and the
@@ -276,14 +280,13 @@ class Comm(AttributeMixin):
             self._check_live()
             self._check_rank(dest)
             self._check_tag(tag)
-        ctx = self._context_pt2pt if context is None else context
         if mode != "buffered":
             window = self._window(buf, offset, count, datatype, writable=False)
             if window is not None:
-                return self._devcomm.post_send(window, dest, tag, ctx, mode), None
+                return self._devcomm.post_send(window, dest, tag, context, mode), None
         message, datatype = self._pack(buf, offset, count, datatype)
         try:
-            return self._devcomm.post_send(message, dest, tag, ctx, mode), message
+            return self._devcomm.post_send(message, dest, tag, context, mode), message
         except BaseException:
             message.free()
             raise
@@ -297,7 +300,6 @@ class Comm(AttributeMixin):
         dest: int,
         tag: int,
         *,
-        context: Optional[int] = None,
         mode: str = "standard",
     ) -> MPIRequest:
         """Non-blocking standard-mode send.
@@ -307,7 +309,7 @@ class Comm(AttributeMixin):
         the data at call time.
         """
         request, message = self._post_send(
-            buf, offset, count, datatype, dest, tag, context, mode
+            buf, offset, count, datatype, dest, tag, self._context_pt2pt, mode
         )
         inner = RankRequest(request, self._devcomm)
         if message is None:
@@ -324,8 +326,6 @@ class Comm(AttributeMixin):
         datatype: Optional[Datatype],
         dest: int,
         tag: int,
-        *,
-        context: Optional[int] = None,
     ) -> None:
         """Blocking standard-mode send.
 
@@ -333,7 +333,7 @@ class Comm(AttributeMixin):
         finisher or status is built for a result nobody reads.
         """
         request, message = self._post_send(
-            buf, offset, count, datatype, dest, tag, context, "standard"
+            buf, offset, count, datatype, dest, tag, self._context_pt2pt, "standard"
         )
         self._reap(request, message)
         if message is not None:
@@ -377,7 +377,7 @@ class Comm(AttributeMixin):
         datatype: Optional[Datatype],
         source: int,
         tag: int,
-        context: Optional[int],
+        context: int,
     ) -> tuple[DevRequest, Buffer, Datatype]:
         """Validate and post a receive: the device request, what it
         lands in (an :class:`ArrayRecvWindow` or a pooled message) and
@@ -390,13 +390,12 @@ class Comm(AttributeMixin):
             if not isinstance(buf, np.ndarray):
                 raise MPIException("datatype may be omitted only for numpy arrays")
             datatype = datatype_for(buf)
-        ctx = self._context_pt2pt if context is None else context
         window = self._window(buf, offset, count, datatype, writable=True)
         if window is not None:
-            return self._devcomm.post_recv(window, source, tag, ctx), window, datatype
+            return self._devcomm.post_recv(window, source, tag, context), window, datatype
         message = self._pool.acquire(datatype.packed_size(count) + _SLACK)
         try:
-            request = self._devcomm.post_recv(message, source, tag, ctx)
+            request = self._devcomm.post_recv(message, source, tag, context)
         except BaseException:
             message.free()
             raise
@@ -410,8 +409,6 @@ class Comm(AttributeMixin):
         datatype: Optional[Datatype],
         source: int,
         tag: int,
-        *,
-        context: Optional[int] = None,
     ) -> MPIRequest:
         """Non-blocking receive; *source* may be ``ANY_SOURCE``.
 
@@ -419,7 +416,7 @@ class Comm(AttributeMixin):
         every device lands the payload straight in the user's memory.
         """
         request, landing, datatype = self._post_recv(
-            buf, offset, count, datatype, source, tag, context
+            buf, offset, count, datatype, source, tag, self._context_pt2pt
         )
         inner = RankRequest(request, self._devcomm)
         if isinstance(landing, ArrayRecvWindow):
@@ -444,12 +441,10 @@ class Comm(AttributeMixin):
         datatype: Optional[Datatype],
         source: int,
         tag: int,
-        *,
-        context: Optional[int] = None,
     ) -> MPIStatus:
         """Blocking receive; reaps the device request like :meth:`Send`."""
         request, landing, datatype = self._post_recv(
-            buf, offset, count, datatype, source, tag, context
+            buf, offset, count, datatype, source, tag, self._context_pt2pt
         )
         if isinstance(landing, ArrayRecvWindow):
             status = self._reap(request)

@@ -68,6 +68,9 @@ class MPJEnvironment:
         self.final_metrics: Optional[dict] = None
         self._thread_level = THREAD_MULTIPLE
         self._main_thread = threading.current_thread()
+        #: Non-blocking collective workers of this rank's communicators
+        #: (repro.mpi.nbc), told to exit at Finalize.
+        self._nbc_workers: list = []
         my_uid = self._pids[rank].uid
         group = Group(self._pids, my_uid=my_uid)
         devcomm = MPJDevComm(device, self._pids, rank)
@@ -203,6 +206,8 @@ class MPJEnvironment:
         """
         if not self._finalized:
             self._finalized = True
+            for worker in self._nbc_workers:
+                worker.close()
             # Snapshot metrics while the engine is still alive — the
             # registry itself survives finish(), the live gauges do not.
             try:

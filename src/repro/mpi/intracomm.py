@@ -8,8 +8,7 @@ communicator's *collective context*, so user point-to-point can never
 be matched by collective plumbing.
 
 Built-in algorithms (chosen to match common MPI practice at 2006-era
-scale; each tunable one, and Barrier, Gatherv and Scatterv, is a
-schedule in :mod:`repro.mpi.algorithms`):
+scale; every one is a schedule in :mod:`repro.mpi.algorithms`):
 
 ===============  =================================================
 Barrier          dissemination (⌈log2 p⌉ rounds)
@@ -19,10 +18,15 @@ Allreduce        Reduce to rank 0 + Bcast
 Gather/Scatter   linear to/from root
 Allgather        ring (p-1 steps)
 Allgatherv       Gatherv to rank 0 + Bcast
-Alltoall         pairwise non-blocking exchange
+Alltoall(v)      one round of p-1 exchanges
 Reduce_scatter   Reduce + Scatterv
 Scan/Exscan      linear chain
 ===============  =================================================
+
+The lowercase object verbs wrap the uppercase ones with ``OBJECT``,
+except ``scan``: its fold is a Python callable over objects, which the
+executor does not run, so it keeps its own chain on the collective
+context.
 
 Unless a manual override is set with :meth:`set_collective_algorithm`,
 each tunable collective consults the decision table in
@@ -56,18 +60,11 @@ import numpy as np
 
 from repro.mpi import algorithms, tuning
 from repro.mpi import op as ops
-from repro.mpi.algorithms import IN, OUT, _local_copy
-from repro.mpi.comm import (
-    Comm,
-    TAG_ALLTOALL,
-    TAG_GATHER,
-    TAG_SCAN,
-    TAG_SCATTER,
-)
+from repro.mpi.algorithms import IN, OUT, _wait_step
+from repro.mpi.comm import Comm, TAG_SCAN
 from repro.mpi.datatype import BYTE, Datatype, OBJECT, datatype_for
 from repro.mpi.exceptions import CommunicatorError, MPIException
 from repro.mpi.group import Group, UNDEFINED
-from repro.mpi.status import MPIStatus
 
 #: Plans one communicator keeps; the oldest goes first.  A plan is
 #: small (a few steps per round), and a loop calls one shape over and
@@ -155,8 +152,11 @@ class Intracomm(Comm):
             if len(self._plans) >= PLAN_CACHE_SIZE:
                 del self._plans[next(iter(self._plans))]
             self._plans[key] = entry
-        plan, instruments = entry
-        _tick(instruments, nbytes)
+        plan, (counters, sizes) = entry
+        for counter in counters:
+            counter.inc()
+        if nbytes:
+            sizes.observe(nbytes)
         algorithms.execute(self, plan, operands, datatype, op)
 
     def _plan(self, collective, nbytes, root, shape) -> tuple:
@@ -304,18 +304,6 @@ class Intracomm(Comm):
     # ==================================================================
     # collective plumbing
 
-    def _coll_send(self, buf, offset, count, datatype, dest, tag) -> None:
-        self._coll_isend(buf, offset, count, datatype, dest, tag).wait()
-
-    def _coll_isend(self, buf, offset, count, datatype, dest, tag):
-        return self.Isend(buf, offset, count, datatype, dest, tag, context=self._context_coll)
-
-    def _coll_recv(self, buf, offset, count, datatype, src, tag) -> MPIStatus:
-        return self._coll_irecv(buf, offset, count, datatype, src, tag).wait()
-
-    def _coll_irecv(self, buf, offset, count, datatype, src, tag):
-        return self.Irecv(buf, offset, count, datatype, src, tag, context=self._context_coll)
-
     @staticmethod
     def _resolve_type(buf, datatype: Optional[Datatype]) -> Datatype:
         if datatype is not None:
@@ -324,21 +312,12 @@ class Intracomm(Comm):
             return datatype_for(buf)
         raise MPIException("datatype may be omitted only for numpy arrays")
 
-    def _coll_nbytes(self, buf=None, count=0, datatype=None) -> int:
-        """Packed byte size of one collective operand (0 if unknown)."""
-        if not count:
-            return 0
-        try:
-            return self._resolve_type(buf, datatype).packed_size(count)
-        except Exception:  # noqa: BLE001 - observed later as a real error
-            return 0
-
-    def _coll_instruments(self, name: str, algorithm: Optional[str] = None) -> tuple:
+    def _coll_instruments(self, name: str, algorithm: str) -> tuple:
         """What one collective call ticks (repro.obs): the
-        ``coll.<name>`` counter, plus ``coll.<name>{algorithm=...}``
-        when the algorithm is known so traces and bench cells show
-        which path actually ran, and the ``coll.bytes`` histogram.  A
-        device without metrics gets no-op instruments."""
+        ``coll.<name>`` counter, ``coll.<name>{algorithm=...}`` so
+        traces and bench cells show which path actually ran, and the
+        ``coll.bytes`` histogram.  A device without metrics gets no-op
+        instruments."""
         try:
             metrics = self._devcomm.device.metrics
         except Exception:  # noqa: BLE001 - device without metrics
@@ -347,14 +326,11 @@ class Intracomm(Comm):
             from repro.obs.metrics import NullMetrics
 
             metrics = NullMetrics()
-        counters = [metrics.counter(f"coll.{name}")]
-        if algorithm is not None:
-            counters.append(metrics.counter(f"coll.{name}", labels={"algorithm": algorithm}))
-        return tuple(counters), metrics.histogram("coll.bytes")
-
-    def _coll_observe(self, name, buf=None, count=0, datatype=None) -> None:
-        """One metrics tick per collective call (repro.obs)."""
-        _tick(self._coll_instruments(name), self._coll_nbytes(buf, count, datatype))
+        counters = (
+            metrics.counter(f"coll.{name}"),
+            metrics.counter(f"coll.{name}", labels={"algorithm": algorithm}),
+        )
+        return counters, metrics.histogram("coll.bytes")
 
     def _check_vector_args(self, counts, displs=None) -> None:
         """Validate per-rank count/displacement vectors."""
@@ -426,15 +402,6 @@ class Intracomm(Comm):
             raise MPIException("Reduce needs a primitive-based datatype")
         if datatype.extent != datatype.block_count:
             raise MPIException("Reduce needs a contiguous datatype layout")
-
-    def _reduce_local(
-        self, buf: Any, offset: int, count: int, datatype: Datatype
-    ) -> np.ndarray:
-        """Copy the operand window out as a flat contiguous array."""
-        self._check_reducible(datatype)
-        flat = np.asarray(buf).reshape(-1)
-        n = count * datatype.block_count
-        return flat[offset : offset + n].copy()
 
     def Reduce(
         self,
@@ -512,56 +479,33 @@ class Intracomm(Comm):
         )
 
     def Scan(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        op: ops.Op,
+        self, sendbuf: Any, sendoffset: int, recvbuf: Any, recvoffset: int,
+        count: int, datatype: Optional[Datatype], op: ops.Op,
     ) -> None:
         """Inclusive prefix reduction in rank order."""
-        self._check_live()
-        size, rank = self.size(), self.rank()
-        datatype = self._resolve_type(sendbuf, datatype)
-        acc = self._reduce_local(sendbuf, sendoffset, count, datatype)
-        n = acc.size
-        if rank > 0:
-            prefix = np.empty_like(acc)
-            self._coll_recv(prefix, 0, n, None, rank - 1, TAG_SCAN)
-            acc = op.reduce_arrays(prefix, acc)
-        if rank < size - 1:
-            self._coll_send(acc, 0, n, None, rank + 1, TAG_SCAN)
-        flat = self._writable_flat(recvbuf)
-        flat[recvoffset : recvoffset + n] = acc
+        self._prefix("scan", sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op)
 
     def Exscan(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        op: ops.Op,
+        self, sendbuf: Any, sendoffset: int, recvbuf: Any, recvoffset: int,
+        count: int, datatype: Optional[Datatype], op: ops.Op,
     ) -> None:
         """Exclusive prefix reduction (recvbuf untouched at rank 0)."""
+        self._prefix("exscan", sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op)
+
+    def _prefix(self, collective, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op):
+        """Scan or Exscan; Exscan's rank 0 never touches *recvbuf*."""
         self._check_live()
-        size, rank = self.size(), self.rank()
         datatype = self._resolve_type(sendbuf, datatype)
-        own = self._reduce_local(sendbuf, sendoffset, count, datatype)
-        n = own.size
-        prefix: Optional[np.ndarray] = None
-        if rank > 0:
-            prefix = np.empty_like(own)
-            self._coll_recv(prefix, 0, n, None, rank - 1, TAG_SCAN)
-        combined = own if prefix is None else op.reduce_arrays(prefix.copy(), own)
-        if rank < size - 1:
-            self._coll_send(combined, 0, n, None, rank + 1, TAG_SCAN)
-        if prefix is not None:
-            flat = self._writable_flat(recvbuf)
-            flat[recvoffset : recvoffset + n] = prefix
+        self._check_reducible(datatype)
+        if collective == "scan" or self.rank():
+            self._writable_flat(recvbuf)
+        self._collective(
+            collective, datatype.packed_size(count), 0,
+            algorithms.Shape.of(count, datatype, op), datatype,
+            {IN: (sendbuf, sendoffset, count, datatype),
+             OUT: (recvbuf, recvoffset, count, datatype)},
+            op,
+        )
 
     # ==================================================================
     # Gather family
@@ -697,28 +641,18 @@ class Intracomm(Comm):
         sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
         recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Optional[Datatype],
     ) -> None:
-        """Pairwise exchange: every rank sends block j to rank j."""
+        """Every rank sends block j to rank j and receives block i from
+        rank i."""
         self._check_live()
-        self._coll_observe("alltoall", sendbuf, sendcount, sendtype)
-        size, rank = self.size(), self.rank()
+        size = self.size()
         sendtype = self._resolve_type(sendbuf, sendtype)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            recv_disp = recvoffset + r * recvcount * recvtype.extent
-            send_disp = sendoffset + r * sendcount * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, send_disp, sendcount, sendtype,
-                            recvbuf, recv_disp, recvcount, recvtype, self._pool)
-                continue
-            requests.append(
-                self._coll_irecv(recvbuf, recv_disp, recvcount, recvtype, r, TAG_ALLTOALL)
-            )
-            requests.append(
-                self._coll_isend(sendbuf, send_disp, sendcount, sendtype, r, TAG_ALLTOALL)
-            )
-        for req in requests:
-            req.wait()
+        self._collective(
+            "alltoall", sendtype.packed_size(sendcount) * size, 0,
+            algorithms.Shape.of(recvcount, recvtype), recvtype,
+            {IN: (sendbuf, sendoffset, size * sendcount, sendtype),
+             OUT: (recvbuf, recvoffset, size * recvcount, recvtype)},
+        )
 
     def Alltoallv(
         self,
@@ -729,62 +663,37 @@ class Intracomm(Comm):
     ) -> None:
         """Alltoall with per-peer counts and displacements."""
         self._check_live()
-        size, rank = self.size(), self.rank()
-        if not (len(sendcounts) == len(sdispls) == len(recvcounts) == len(rdispls) == size):
+        if not (len(sendcounts) == len(sdispls) == len(recvcounts) == len(rdispls) == self.size()):
             raise MPIException("alltoallv count/displacement arrays must match size")
         sendtype = self._resolve_type(sendbuf, sendtype)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            recv_disp = recvoffset + rdispls[r] * recvtype.extent
-            send_disp = sendoffset + sdispls[r] * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, send_disp, sendcounts[r], sendtype,
-                            recvbuf, recv_disp, recvcounts[r], recvtype, self._pool)
-                continue
-            requests.append(
-                self._coll_irecv(recvbuf, recv_disp, recvcounts[r], recvtype, r, TAG_ALLTOALL)
-            )
-            requests.append(
-                self._coll_isend(sendbuf, send_disp, sendcounts[r], sendtype, r, TAG_ALLTOALL)
-            )
-        for req in requests:
-            req.wait()
+        span = _span(recvcounts, rdispls)
+        shape = _placed(algorithms.Shape.of(span, recvtype), recvcounts, rdispls, recvtype)
+        sent = _placed(shape, sendcounts, sdispls, sendtype)
+        self._collective(
+            "alltoallv", sendtype.packed_size(int(sum(sendcounts))), 0,
+            replace(shape, scounts=sent.counts, sdispls=sent.displs), recvtype,
+            {IN: (sendbuf, sendoffset, _span(sendcounts, sdispls), sendtype),
+             OUT: (recvbuf, recvoffset, span, recvtype)},
+        )
 
     # ==================================================================
     # lowercase object collectives (mpi4py style)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         """Gather objects: root receives the rank-ordered list."""
-        self._check_live()
-        self._check_rank(root)
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_send([obj], 0, 1, OBJECT, root, TAG_GATHER)
-            return None
-        out: list = [None] * size
-        out[rank] = obj
-        for r in range(size):
-            if r != rank:
-                box = [None]
-                self._coll_recv(box, 0, 1, OBJECT, r, TAG_GATHER)
-                out[r] = box[0]
+        out = [None] * self.size() if self.rank() == root else None
+        self.Gather([obj], 0, 1, OBJECT, out, 0, 1, OBJECT, root)
         return out
 
     def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
         """Scatter a sequence of objects, one per rank."""
         self._check_live()
-        self._check_rank(root)
-        size, rank = self.size(), self.rank()
-        if rank == root:
-            if objs is None or len(objs) != size:
-                raise MPIException(f"scatter needs exactly {size} items at the root")
-            for r in range(size):
-                if r != rank:
-                    self._coll_send([objs[r]], 0, 1, OBJECT, r, TAG_SCATTER)
-            return objs[rank]
+        size = self.size()
+        if self.rank() == root and (objs is None or len(objs) != size):
+            raise MPIException(f"scatter needs exactly {size} items at the root")
         box = [None]
-        self._coll_recv(box, 0, 1, OBJECT, root, TAG_SCATTER)
+        self.Scatter(objs, 0, 1, OBJECT, box, 0, 1, OBJECT, root)
         return box[0]
 
     def allgather(self, obj: Any) -> list:
@@ -795,23 +704,11 @@ class Intracomm(Comm):
     def alltoall(self, objs: Sequence[Any]) -> list:
         """Each rank sends item j to rank j; receives one from each."""
         self._check_live()
-        size, rank = self.size(), self.rank()
+        size = self.size()
         if len(objs) != size:
             raise MPIException(f"alltoall needs exactly {size} items")
         out: list = [None] * size
-        out[rank] = objs[rank]
-        requests = []
-        boxes: dict[int, list] = {}
-        for r in range(size):
-            if r == rank:
-                continue
-            boxes[r] = [None]
-            requests.append((r, self._coll_irecv(boxes[r], 0, 1, OBJECT, r, TAG_ALLTOALL)))
-            requests.append((-1, self._coll_isend([objs[r]], 0, 1, OBJECT, r, TAG_ALLTOALL)))
-        for r, req in requests:
-            req.wait()
-        for r, box in boxes.items():
-            out[r] = box[0]
+        self.Alltoall(objs, 0, 1, OBJECT, out, 0, 1, OBJECT)
         return out
 
     def reduce(self, obj: Any, op=None, root: int = 0) -> Any:
@@ -830,28 +727,27 @@ class Intracomm(Comm):
         return self.bcast(self.reduce(obj, op=op, root=0), root=0)
 
     def scan(self, obj: Any, op=None) -> Any:
-        """Inclusive object prefix reduction in rank order."""
+        """Inclusive object prefix reduction in rank order.
+
+        Not a schedule: the executor folds arrays, and this fold is a
+        Python callable over objects.  The chain posts on the
+        collective context and reaps its steps as the executor does.
+        """
         self._check_live()
         size, rank = self.size(), self.rank()
         folder = op if op is not None else (lambda a, b: a + b)
-        acc = obj
+        ctx, acc = self._context_coll, obj
         if rank > 0:
             box = [None]
-            self._coll_recv(box, 0, 1, OBJECT, rank - 1, TAG_SCAN)
+            request, message, _dt = self._post_recv(box, 0, 1, OBJECT, rank - 1, TAG_SCAN, ctx)
+            _wait_step(self, request, message, (box, 0, 1, OBJECT))
             acc = folder(box[0], obj)
         if rank < size - 1:
-            self._coll_send([acc], 0, 1, OBJECT, rank + 1, TAG_SCAN)
+            request, message = self._post_send(
+                [acc], 0, 1, OBJECT, rank + 1, TAG_SCAN, ctx, "standard"
+            )
+            _wait_step(self, request, message, None)
         return acc
-
-
-
-def _tick(instruments: tuple, nbytes: int) -> None:
-    """Count one collective call of *nbytes* on *instruments*."""
-    counters, sizes = instruments
-    for counter in counters:
-        counter.inc()
-    if nbytes:
-        sizes.observe(nbytes)
 
 
 def _span(counts: Sequence[int], displs: Sequence[int]) -> int:

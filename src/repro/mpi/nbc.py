@@ -23,6 +23,8 @@ Semantics and caveats:
   Overlap is between communication and *computation*, and between NBC
   ops on different communicators.
 * Buffers belong to the operation until ``wait()`` returns.
+* A worker exits once the operations queued before its communicator
+  is freed, or its rank's environment finalizes, have run.
 """
 
 from __future__ import annotations
@@ -85,9 +87,13 @@ class NBCWorker:
         self._queue.put((fn, request))
         return request
 
+    def close(self) -> None:
+        """Exit after the operations already queued."""
+        self._queue.put(None)
+
     def _run(self) -> None:
-        while True:
-            fn, request = self._queue.get()
+        while (item := self._queue.get()) is not None:
+            fn, request = item
             try:
                 if self._dup is None:
                     # First operation: build the dedicated communicator.
@@ -105,6 +111,8 @@ def _worker_for(comm) -> NBCWorker:
     if worker is None:
         worker = NBCWorker(comm)
         comm._nbc_worker = worker
+        if comm._env is not None:
+            comm._env._nbc_workers.append(worker)
     return worker
 
 

@@ -16,10 +16,13 @@ point-to-point time T(m) over its fabric, Hockney-style:
 * a round lasts as long as its slowest rank, and the total is the sum
   of the rounds.  Local copies and folds cost nothing.
 
-The priced operand is a vector of *m* one-byte elements — for gather
-and scatter *m* is the total, split into p blocks; for allgather it is
-the per-rank block.  Compositions (reduce+bcast, gather+bcast, ...)
-price their sub-collectives' built-in defaults.
+The priced operand is a vector of *m* one-byte elements — for gather,
+scatter and alltoall(v) *m* is the total, split into p blocks; for
+allgather it is the per-rank block.  Compositions (reduce+bcast,
+gather+bcast, ...) price their sub-collectives' built-in defaults.  A
+collective with one algorithm (barrier, gatherv, scatterv,
+alltoall(v), scan, exscan) is priced by the schedule
+:data:`repro.mpi.algorithms.FIXED` names.
 
 :func:`crosscheck` grades a :class:`repro.mpi.tuning.DecisionTable`
 against these costs cell by cell, flagging decision-table entries
@@ -30,23 +33,25 @@ from __future__ import annotations
 
 from repro.mpi.algorithms import (
     DEFAULTS,
+    FIXED,
     RECV,
     RECV_REDUCE,
     REGISTRY,
     SEND,
     Shape,
-    barrier_dissemination,
     resolve,
 )
 from repro.netsim.libraries import LibraryModel
 
-_BARRIER = {"dissemination": barrier_dissemination}
-
 
 def _shape(collective: str, p: int, m: int) -> Shape:
-    if collective in ("gather", "scatter"):
+    if collective in ("gather", "scatter", "alltoall"):
         return Shape(m // p, 1)
-    if collective in ("allgatherv", "reduce_scatter"):
+    if collective == "alltoallv":
+        blk = m // p
+        counts, displs = (blk,) * p, tuple(r * blk for r in range(p))
+        return Shape(m, 1, counts=counts, displs=displs, scounts=counts, sdispls=displs)
+    if collective in ("allgatherv", "reduce_scatter", "gatherv", "scatterv"):
         per, rem = divmod(m, p)
         counts = tuple(per + (r < rem) for r in range(p))
         displs = tuple(r * per + min(r, rem) for r in range(p))
@@ -75,8 +80,10 @@ def cost(lib: LibraryModel, collective: str, algorithm: str, p: int, m: int) -> 
     """Completion time of *algorithm* for *collective* at p ranks and m
     bytes (``"barrier"``/``"dissemination"`` prices the barrier)."""
     shape = _shape(collective, p, m)
-    if collective == "barrier":
-        schedule = _BARRIER[algorithm]
+    if collective in FIXED:
+        name, schedule = FIXED[collective]
+        if algorithm != name:
+            raise KeyError(f"{collective} has one algorithm, {name!r}")
     else:
         schedule = REGISTRY[collective][resolve(collective, algorithm, p, shape)]
     ranks = [schedule(r, p, 0, shape, lambda c, _nbytes: DEFAULTS[c]) for r in range(p)]

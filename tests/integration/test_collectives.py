@@ -255,6 +255,35 @@ class TestAlltoall:
             expected = [src for src in range(nprocs) for _ in range(rank + 1)]
             assert got == expected
 
+    def test_alltoallv_rdispls_out_of_rank_order(self, nprocs):
+        """Blocks land where rdispls put them (here in reverse rank
+        order), not in arrival or rank order."""
+
+        def main(env):
+            comm = env.COMM_WORLD
+            rank, size = comm.rank(), comm.size()
+            sendcounts = [j + 1 for j in range(size)]
+            sdispls = [sum(sendcounts[:j]) for j in range(size)]
+            send = np.array(
+                [100 * rank + 10 * j + k for j in range(size) for k in range(j + 1)],
+                dtype=np.int64,
+            )
+            recvcounts = [rank + 1] * size
+            rdispls = [(size - 1 - i) * (rank + 1) for i in range(size)]
+            recv = np.full(size * (rank + 1), -1, dtype=np.int64)
+            comm.Alltoallv(send, 0, sendcounts, sdispls, mpi.LONG,
+                           recv, 0, recvcounts, rdispls, mpi.LONG)
+            return recv.tolist()
+
+        results = run_spmd(main, nprocs)
+        for rank, got in enumerate(results):
+            expected = [
+                100 * src + 10 * rank + k
+                for src in reversed(range(nprocs))
+                for k in range(rank + 1)
+            ]
+            assert got == expected
+
 
 class TestMixedDatatypesInCollectives:
     def test_gather_vector_send_basic_recv(self, nprocs):
@@ -278,6 +307,25 @@ class TestMixedDatatypesInCollectives:
             expected.extend([100 * r + i * 4 for i in range(4)])
         assert got == expected
 
+    def test_alltoall_vector_send_basic_recv(self, nprocs):
+        """A strided sendtype is staged through pack; the receiver
+        takes plain doubles."""
+
+        def main(env):
+            comm = env.COMM_WORLD
+            size = comm.size()
+            pair = mpi.DOUBLE.vector(2, 1, 3)  # elements k*4 + {0, 3}
+            send = np.arange(4 * size, dtype=np.float64) + 100 * comm.rank()
+            recv = np.zeros(2 * size)
+            comm.Alltoall(send, 0, 1, pair, recv, 0, 2, mpi.DOUBLE)
+            return recv.tolist()
+
+        for rank, got in enumerate(run_spmd(main, nprocs)):
+            assert got == [
+                v for src in range(nprocs)
+                for v in (100 * src + 4 * rank, 100 * src + 4 * rank + 3)
+            ]
+
     def test_scatter_basic_send_vector_recv(self, nprocs):
         def main(env):
             comm = env.COMM_WORLD
@@ -297,7 +345,17 @@ class TestMixedDatatypesInCollectives:
             assert got == [rank * 3.0, rank * 3.0 + 1, rank * 3.0 + 2]
 
 
+def _two_a_plus_b_prefixes(nprocs):
+    """Inclusive prefixes of 1, 2, ..., nprocs under a ∘ b = 2a + b."""
+    out = [1]
+    for r in range(1, nprocs):
+        out.append(2 * out[-1] + r + 1)
+    return out
+
+
 class TestScanFamily:
+    TWO_A_PLUS_B = mpi.Op(lambda a, b: 2 * a + b, commute=False, name="2a+b")
+
     def test_inclusive_scan(self, nprocs):
         def main(env):
             comm = env.COMM_WORLD
@@ -321,6 +379,26 @@ class TestScanFamily:
         assert results[0] == -99  # rank 0's recvbuf untouched
         for r in range(1, nprocs):
             assert results[r] == sum(range(1, r + 1))
+
+    def test_non_commutative_scan_folds_in_rank_order(self, nprocs):
+        def main(env):
+            comm = env.COMM_WORLD
+            send = np.array([comm.rank() + 1], dtype=np.int64)
+            recv = np.zeros(1, dtype=np.int64)
+            comm.Scan(send, 0, recv, 0, 1, mpi.LONG, self.TWO_A_PLUS_B)
+            return int(recv[0])
+
+        assert run_spmd(main, nprocs) == _two_a_plus_b_prefixes(nprocs)
+
+    def test_non_commutative_exscan_folds_in_rank_order(self, nprocs):
+        def main(env):
+            comm = env.COMM_WORLD
+            send = np.array([comm.rank() + 1], dtype=np.int64)
+            recv = np.full(1, -99, dtype=np.int64)
+            comm.Exscan(send, 0, recv, 0, 1, mpi.LONG, self.TWO_A_PLUS_B)
+            return int(recv[0])
+
+        assert run_spmd(main, nprocs) == [-99] + _two_a_plus_b_prefixes(nprocs)[:-1]
 
 
 class TestReduceScatter:

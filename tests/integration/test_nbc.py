@@ -88,6 +88,30 @@ class TestIallreduce:
         assert run_spmd(main, 2) == [True, True]
 
 
+class TestWorkerLifetime:
+    def test_workers_exit_when_the_job_finalizes(self):
+        def main(env):
+            comm = env.COMM_WORLD
+            mpi.ibarrier(comm).wait(timeout=30)
+            return comm._nbc_worker._thread
+
+        threads = run_spmd(main, 2)
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_worker_exits_when_its_communicator_is_freed(self):
+        def main(env):
+            comm = env.COMM_WORLD.dup()
+            mpi.ibarrier(comm).wait(timeout=30)
+            thread = comm._nbc_worker._thread
+            comm.free()
+            thread.join(timeout=10)
+            return thread.is_alive()
+
+        assert run_spmd(main, 2) == [False, False]
+
+
 class TestIallgatherAndObjects:
     def test_iallgather(self):
         def main(env):

@@ -42,30 +42,30 @@ def _pingpong(devices, pids, iters):
     return elapsed
 
 
-def _best_time(monkeypatch, metrics_value):
+def _trial(monkeypatch, metrics_value):
+    """One timed ping-pong on a fresh smdev job, after a warm-up."""
     if metrics_value is None:
         monkeypatch.delenv("REPRO_METRICS", raising=False)
     else:
         monkeypatch.setenv("REPRO_METRICS", metrics_value)
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    best = None
-    for _ in range(TRIALS):
-        devices, pids = make_job("smdev", 2)
-        try:
-            _pingpong(devices, pids, ITERS // 10)  # warmup
-            elapsed = _pingpong(devices, pids, ITERS)
-        finally:
-            for d in devices:
-                d.finish()
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+    devices, pids = make_job("smdev", 2)
+    try:
+        _pingpong(devices, pids, ITERS // 10)  # warmup
+        return _pingpong(devices, pids, ITERS)
+    finally:
+        for d in devices:
+            d.finish()
 
 
 class TestOverhead:
     def test_metrics_on_vs_off(self, monkeypatch):
-        t_off = _best_time(monkeypatch, "0")
-        t_on = _best_time(monkeypatch, None)
+        # Off and on trials alternate, so load that drifts during the
+        # test lands on both sides; the best of each is compared.
+        t_off = t_on = float("inf")
+        for _ in range(TRIALS):
+            t_off = min(t_off, _trial(monkeypatch, "0"))
+            t_on = min(t_on, _trial(monkeypatch, None))
         ratio = t_on / t_off
         print(
             f"\nmetrics-on/off pingpong ratio: {ratio:.3f} "

@@ -12,15 +12,17 @@ context and compare it with what the schedule says.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from repro import mpi
-from repro.mpi import algorithms, tuning
+from repro.mpi import tuning
 from repro.mpi.algorithms import (
     DEFAULTS,
+    FIXED,
     RECV,
     RECV_REDUCE,
     REGISTRY,
@@ -33,22 +35,46 @@ from repro.mpi.comm import Comm
 from repro.runtime.launcher import run_spmd
 
 ENTRIES = [(c, a) for c in REGISTRY for a in REGISTRY[c]]
+FIXED_ENTRIES = [(c, name) for c, (name, _schedule) in FIXED.items()]
 SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
 NBYTES = [0, 1024, (1 << 20) + 24]
 
 
-def vector_shape(collective, p, nbytes, op_commutes=True):
-    """A DOUBLE vector of *nbytes*: split in p blocks for the rooted
-    gather family, one block per rank for allgather, uneven per-rank
-    blocks for the vector variants."""
+def alltoallv_shape(rank, p, blk):
+    """Rank *rank*'s Alltoallv shape when rank q sends rank r a block of
+    ``blk + (q + 2r) % 3`` doubles: uneven per peer, and what r receives
+    from q differs from what r sends to q."""
+    counts = tuple(blk + (q + 2 * rank) % 3 for q in range(p))
+    scounts = tuple(blk + (rank + 2 * q) % 3 for q in range(p))
+    return Shape(
+        sum(counts), 8,
+        counts=counts, displs=tuple(accumulate(counts[:-1], initial=0)),
+        scounts=scounts, sdispls=tuple(accumulate(scounts[:-1], initial=0)),
+    )
+
+
+def vector_shape(collective, p, nbytes, op_commutes=True, rank=0):
+    """Rank *rank*'s shape of a DOUBLE vector of *nbytes*: split in p
+    blocks for the rooted gather family and alltoall, one block per
+    rank for allgather, uneven per-rank blocks for the vector variants
+    and uneven per-peer blocks for alltoallv."""
     n = nbytes // 8
-    if collective in ("gather", "scatter"):
+    if collective in ("gather", "scatter", "alltoall"):
         return Shape(n // p, 8, commute=op_commutes)
-    if collective in ("allgatherv", "reduce_scatter"):
+    if collective == "alltoallv":
+        return replace(alltoallv_shape(rank, p, n // (p * p)), commute=op_commutes)
+    if collective in ("allgatherv", "reduce_scatter", "gatherv", "scatterv"):
         counts = tuple(n // p + (r < n % p) for r in range(p))
         displs = tuple(accumulate(counts[:-1], initial=0))
         return Shape(n, 8, commute=op_commutes, counts=counts, displs=displs)
     return Shape(n, 8, commute=op_commutes)
+
+
+def schedule_of(collective, algorithm, p, shape):
+    """The schedule that runs *algorithm* (after its fallbacks)."""
+    if collective in FIXED:
+        return FIXED[collective][1]
+    return REGISTRY[collective][resolve(collective, algorithm, p, shape)]
 
 
 def defaults(collective, nbytes):
@@ -76,21 +102,20 @@ def paired(ranks, itemsize):
         assert sends == recvs, f"round {k}"
 
 
-@pytest.mark.parametrize("collective,algorithm", ENTRIES + [("barrier", "dissemination")])
+@pytest.mark.parametrize("collective,algorithm", ENTRIES + FIXED_ENTRIES)
 def test_rounds_align_and_messages_pair(collective, algorithm):
     for p in SIZES:
         for nbytes in NBYTES:
             for commute in (True, False):
-                if collective == "barrier":
-                    shape, schedule = Shape(0, 1), algorithms.barrier_dissemination
-                else:
-                    shape = vector_shape(collective, p, nbytes, commute)
-                    schedule = REGISTRY[collective][resolve(collective, algorithm, p, shape)]
+                shapes = [vector_shape(collective, p, nbytes, commute, r) for r in range(p)]
+                schedule = schedule_of(collective, algorithm, p, shapes[0])
                 for select in (defaults, builtin(p)):
                     for root in sorted({0, p - 1}):
-                        ranks = [list(schedule(r, p, root, shape, select)) for r in range(p)]
+                        ranks = [
+                            list(schedule(r, p, root, shapes[r], select)) for r in range(p)
+                        ]
                         try:
-                            paired(ranks, shape.itemsize)
+                            paired(ranks, shapes[0].itemsize)
                         except AssertionError as exc:
                             raise AssertionError(
                                 f"{collective}/{algorithm} p={p} root={root} "
@@ -106,16 +131,26 @@ BIG = SEGMENT_BYTES // 8 + 5  # two pipeline segments
 
 
 def _call(comm, collective, root):
-    """Run one *collective* call; return the Shape Intracomm builds."""
+    """Run one *collective* call; return the Shape of its schedule on
+    this rank (the full per-rank vectors where Intracomm leaves them to
+    the root: a non-root rank reads its own entry, which equals what
+    Intracomm gives it)."""
     p, r = comm.size(), comm.rank()
-    if collective in ("bcast", "reduce", "allreduce"):
+    if collective == "barrier":
+        comm.Barrier()
+        return Shape(0, 1)
+    if collective in ("bcast", "reduce", "allreduce", "scan", "exscan"):
         send, recv = np.arange(BIG, dtype=float) + r, np.zeros(BIG)
         if collective == "bcast":
             comm.Bcast(send, 0, BIG, D, root)
         elif collective == "reduce":
             comm.Reduce(send, 0, recv, 0, BIG, D, mpi.SUM, root)
-        else:
+        elif collective == "allreduce":
             comm.Allreduce(send, 0, recv, 0, BIG, D, mpi.SUM)
+        elif collective == "scan":
+            comm.Scan(send, 0, recv, 0, BIG, D, mpi.SUM)
+        else:
+            comm.Exscan(send, 0, recv, 0, BIG, D, mpi.SUM)
         return Shape.of(BIG, D, mpi.SUM)
     blk = 2 * p + 1
     if collective == "gather":
@@ -124,14 +159,33 @@ def _call(comm, collective, root):
         comm.Scatter(np.ones(blk * p), 0, blk, D, np.zeros(blk), 0, blk, D, root)
     elif collective == "allgather":
         comm.Allgather(np.ones(blk), 0, blk, D, np.zeros(blk * p), 0, blk, D)
-    if collective in ("gather", "scatter", "allgather"):
+    elif collective == "alltoall":
+        comm.Alltoall(np.ones(blk * p), 0, blk, D, np.zeros(blk * p), 0, blk, D)
+    if collective in ("gather", "scatter", "allgather", "alltoall"):
         return Shape.of(blk, D)
+    if collective == "alltoallv":
+        shape = alltoallv_shape(r, p, blk)
+        comm.Alltoallv(
+            np.ones(sum(shape.scounts)), 0, list(shape.scounts), list(shape.sdispls), D,
+            np.zeros(shape.base), 0, list(shape.counts), list(shape.displs), D,
+        )
+        return shape
     counts = tuple(blk + q % 3 for q in range(p))
     displs = tuple(accumulate(counts[:-1], initial=0))
     if collective == "allgatherv":
         comm.Allgatherv(
             np.ones(counts[r]), 0, counts[r], D,
             np.zeros(sum(counts)), 0, list(counts), list(displs), D,
+        )
+    elif collective == "gatherv":
+        comm.Gatherv(
+            np.ones(counts[r]), 0, counts[r], D,
+            np.zeros(sum(counts)), 0, list(counts), list(displs), D, root,
+        )
+    elif collective == "scatterv":
+        comm.Scatterv(
+            np.ones(sum(counts)), 0, list(counts), list(displs), D,
+            np.zeros(counts[r]), 0, counts[r], D, root,
         )
     else:
         comm.Reduce_scatter(
@@ -141,7 +195,7 @@ def _call(comm, collective, root):
 
 
 @pytest.mark.parametrize("nprocs", [3, 4])
-@pytest.mark.parametrize("collective,algorithm", ENTRIES)
+@pytest.mark.parametrize("collective,algorithm", ENTRIES + FIXED_ENTRIES)
 def test_executor_sends_what_the_schedule_says(monkeypatch, collective, algorithm, nprocs):
     """Each collective runs twice in one job, so the second call runs
     the communicator's cached plan; both must send what the schedule
@@ -158,13 +212,15 @@ def test_executor_sends_what_the_schedule_says(monkeypatch, collective, algorith
 
     def main(env):
         comm = env.COMM_WORLD
-        comm.set_collective_algorithm(collective, algorithm)
+        if collective in REGISTRY:
+            comm.set_collective_algorithm(collective, algorithm)
         root = comm.size() - 1
         for _ in range(2):
             shape = _call(comm, collective, root)
         p, r = comm.size(), comm.rank()
-        name = resolve(collective, algorithm, p, shape)
-        schedule = REGISTRY[collective][name](r, p, root, shape, comm._select_algorithm)
+        schedule = schedule_of(collective, algorithm, p, shape)(
+            r, p, root, shape, comm._select_algorithm
+        )
         once = Counter(
             (r, st.peer, st.tag, st.block[2] * shape.itemsize)
             for steps in schedule

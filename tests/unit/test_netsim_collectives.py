@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.mpi.algorithms import REGISTRY
+import math
+
+from repro.mpi.algorithms import FIXED, REGISTRY
 from repro.netsim.collectives import compare, cost
 from repro.netsim.libraries import libraries_for
 
@@ -39,6 +41,16 @@ class TestBasics:
         t0 = lib.one_way_time(0)
         assert cost(lib, "barrier", "dissemination", 256, 0) == pytest.approx(8 * t0)
         assert cost(lib, "barrier", "dissemination", 512, 0) == pytest.approx(9 * t0)
+
+    @pytest.mark.parametrize("p", [2, 8])
+    @pytest.mark.parametrize("collective", sorted(FIXED))
+    def test_every_fixed_collective_is_priced(self, lib, collective, p):
+        t = cost(lib, collective, FIXED[collective][0], p, 4096)
+        assert math.isfinite(t) and t > 0
+
+    def test_fixed_collective_rejects_another_algorithm(self, lib):
+        with pytest.raises(KeyError):
+            cost(lib, "scan", "binomial", 4, 4096)
 
 
 class TestRelations:
